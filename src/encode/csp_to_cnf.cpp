@@ -162,6 +162,32 @@ ColoringLayout EncodeColoringGrouped(
   return out;
 }
 
+std::vector<sat::Var> EmitWidthLadder(const ColoringLayout& layout,
+                                      int first_width,
+                                      sat::ClauseSink& sink) {
+  const int k = layout.num_colors;
+  assert(first_width >= 1);
+  std::vector<sat::Var> guard(static_cast<std::size_t>(k), -1);
+  for (int w = first_width; w < k; ++w) {
+    guard[static_cast<std::size_t>(w)] = sink.EmitVar();
+  }
+  sat::Clause scratch;
+  for (int w = first_width; w < k; ++w) {
+    const sat::Var g = guard[static_cast<std::size_t>(w)];
+    if (w + 1 < k) {
+      sink.EmitBinary(sat::Lit::Neg(g),
+                      sat::Lit::Pos(guard[static_cast<std::size_t>(w + 1)]));
+    }
+    for (const int offset : layout.vertex_offset) {
+      scratch = NegateCube(
+          layout.domain.value_cubes[static_cast<std::size_t>(w)], offset);
+      scratch.push_back(sat::Lit::Neg(g));
+      sink.EmitClause(scratch);
+    }
+  }
+  return guard;
+}
+
 EncodedColoring EncodeColoring(
     const graph::Graph& g, int num_colors, const EncodingSpec& spec,
     const std::vector<graph::VertexId>& symmetry_sequence) {

@@ -32,15 +32,7 @@ struct ColoringCnfStats {
   std::size_t conflict_clauses = 0;
   std::size_t symmetry_clauses = 0;
 
-  // Inline-simplification effects (populated only when the emission went
-  // through a SimplifyingSink; zero otherwise). The three categories above
-  // always count clauses *as emitted by the encoder* — pre-simplification —
-  // so Table 1 numbers are invariant under sink composition.
-  std::size_t simplify_dropped_clauses = 0;
-  std::size_t simplify_eliminated_literals = 0;
-  std::size_t simplify_fixed_units = 0;
-
-  /// Total clauses the encoder emitted (pre-simplification).
+  /// Total clauses the encoder emitted.
   std::size_t TotalEmitted() const {
     return structural_clauses + conflict_clauses + symmetry_clauses;
   }
@@ -126,6 +118,18 @@ ColoringLayout EncodeColoringGrouped(
     const graph::Graph& g, int num_colors, const EncodingSpec& spec,
     const std::vector<graph::VertexId>& symmetry_sequence,
     NetGroupedSink& sink);
+
+/// Emits the width-guard ladder over an already declared layout of
+/// K = layout.num_colors colors. For every W in [first_width, K) a guard
+/// variable g_W is allocated, consecutively from the sink's next variable;
+/// then, per W in increasing order, the binary ~g_W \/ g_{W+1} (when
+/// W+1 < K) and, per vertex v, NegateCube(value_cubes[W], offset_v) \/ ~g_W.
+/// So g_W forbids track W everywhere and implies g_{W+1}: assuming g_W
+/// caps the usable tracks at W, and assuming no guard leaves all K.
+/// Returns the guards indexed by width (K entries, -1 below first_width).
+std::vector<sat::Var> EmitWidthLadder(const ColoringLayout& layout,
+                                      int first_width,
+                                      sat::ClauseSink& sink);
 
 /// Exact number of clauses EncodeColoringToSink will emit for this
 /// instance/domain/sequence combination — used for ReserveClauses up front.

@@ -109,21 +109,9 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
     layout = std::move(static_cast<encode::ColoringLayout&>(encoded));
   } else {
     sat::SolverSink direct(solver);
-    if (options.inline_simplify) {
-      sat::SimplifyingSink simplify(direct);
-      layout = encode::EncodeColoringToSink(
-          conflict_graph, num_tracks, options.encoding, sequence, simplify);
-      layout.stats.simplify_dropped_clauses =
-          simplify.stats().DroppedClauses();
-      layout.stats.simplify_eliminated_literals =
-          simplify.stats().eliminated_literals;
-      layout.stats.simplify_fixed_units = simplify.stats().fixed_units;
-      consistent = simplify.Finish();
-    } else {
-      layout = encode::EncodeColoringToSink(
-          conflict_graph, num_tracks, options.encoding, sequence, direct);
-      consistent = direct.Finish();
-    }
+    layout = encode::EncodeColoringToSink(conflict_graph, num_tracks,
+                                          options.encoding, sequence, direct);
+    consistent = direct.Finish();
     result.streamed_encode = true;
   }
   result.cnf_vars = layout.num_vars;

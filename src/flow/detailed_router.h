@@ -60,13 +60,6 @@ struct DetailedRouteOptions {
   /// verify_unsat_proof is set — those must see a freshly materialized
   /// formula tied to a symmetry sequence computed here.
   const encode::EncodedColoring* reuse_encoding = nullptr;
-  /// Chain a SimplifyingSink in front of the solver on the streaming path:
-  /// unit-propagation/duplicate/tautology filtering happens clause by
-  /// clause before the solver sees the stream. Elimination counts land in
-  /// DetailedRouteResult::encode_stats. Ignored on the materialized path
-  /// (selfcheck / verify_unsat_proof), where the solver must see the exact
-  /// encoder output for the lint passes and the RUP checker.
-  bool inline_simplify = false;
 };
 
 struct DetailedRouteResult {
@@ -96,8 +89,7 @@ struct DetailedRouteResult {
   /// True when the CNF was loaded from options.reuse_encoding rather than
   /// encoded here (encode_seconds is then pure clause-load time).
   bool reused_encoding = false;
-  /// Per-category clause counts of the encoding (and, with inline_simplify,
-  /// the simplifier's elimination counts).
+  /// Per-category clause counts of the encoding.
   encode::ColoringCnfStats encode_stats;
 
   /// Set only when options.verify_unsat_proof and status == kUnsat:

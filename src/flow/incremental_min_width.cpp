@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "cube/cube_solver.h"
 #include "encode/csp_to_cnf.h"
 #include "graph/coloring_bounds.h"
 #include "obs/run_report.h"
@@ -25,69 +24,17 @@ const char* RunLabel(const IncrementalMinWidthOptions& options) {
 // Starts a per-width "incremental" record: context filled in, window stats
 // added by the caller once the width's query returns.
 obs::RunRecord MakeWidthRecord(const IncrementalMinWidthOptions& options,
-                               int width, const encode::ColoringLayout& layout,
-                               symmetry::Heuristic heuristic) {
+                               int width,
+                               const encode::ColoringLayout& layout) {
   obs::RunRecord record;
   record.instance = RunLabel(options);
   record.phase = "incremental";
   record.encoding = options.encoding.name;
-  record.symmetry = symmetry::ToString(heuristic);
+  record.symmetry = symmetry::ToString(options.heuristic);
   record.width = width;
   record.cnf_vars = static_cast<std::uint64_t>(layout.num_vars);
   record.cnf_clauses = static_cast<std::uint64_t>(layout.stats.TotalEmitted());
   return record;
-}
-
-// Shared width-independent precomputation of both sweep modes.
-struct SweepSetup {
-  int k_max = 1;
-  int start = 1;
-  std::vector<graph::VertexId> sequence;
-};
-
-SweepSetup PrepareSweep(const graph::Graph& conflict_graph, int lower_bound,
-                        const IncrementalMinWidthOptions& options) {
-  SweepSetup setup;
-  // K_max: a width DSATUR certifies as routable; the search cannot pass it.
-  setup.k_max = std::max(
-      1, graph::NumColorsUsed(graph::DsaturColoring(conflict_graph)));
-  setup.start = std::max(1, std::min(lower_bound, setup.k_max));
-  setup.sequence = symmetry::SymmetrySequence(conflict_graph, setup.k_max,
-                                              options.heuristic);
-  return setup;
-}
-
-// Streams the base encoding plus the guard ladder into `sink`: g_W (for W
-// in [start, k_max)) forbids color W everywhere and implies g_{W+1}. Guard
-// variable ids are deterministic — layout.num_vars + (W - start) — so every
-// cube worker allocates the identical numbering.
-encode::ColoringLayout EmitGuardedFormula(
-    const graph::Graph& conflict_graph, const SweepSetup& setup,
-    const IncrementalMinWidthOptions& options, sat::ClauseSink& sink,
-    std::vector<sat::Var>* guard) {
-  const encode::ColoringLayout layout = encode::EncodeColoringToSink(
-      conflict_graph, setup.k_max, options.encoding, setup.sequence, sink);
-  guard->assign(static_cast<std::size_t>(setup.k_max), -1);
-  for (int w = setup.start; w < setup.k_max; ++w) {
-    (*guard)[static_cast<std::size_t>(w)] = sink.EmitVar();
-  }
-  sat::Clause scratch;
-  for (int w = setup.start; w < setup.k_max; ++w) {
-    const sat::Var g = (*guard)[static_cast<std::size_t>(w)];
-    if (w + 1 < setup.k_max) {
-      sink.EmitBinary(
-          sat::Lit::Neg(g),
-          sat::Lit::Pos((*guard)[static_cast<std::size_t>(w + 1)]));
-    }
-    for (std::size_t v = 0; v < layout.vertex_offset.size(); ++v) {
-      scratch = encode::NegateCube(
-          layout.domain.value_cubes[static_cast<std::size_t>(w)],
-          layout.vertex_offset[v]);
-      scratch.push_back(sat::Lit::Neg(g));
-      sink.EmitClause(scratch);
-    }
-  }
-  return layout;
 }
 
 // Decodes + validates a model at width `w`. These are real checks, not
@@ -123,10 +70,22 @@ constexpr const char kRefutedBelowDsatur[] =
     "formula refuted outright below the DSATUR-certified width "
     "(guarded UNSAT must stay retractable)";
 
-IncrementalMinWidthResult SweepMonolithic(
-    const graph::Graph& conflict_graph, const SweepSetup& setup,
-    const IncrementalMinWidthOptions& options, const Deadline& deadline) {
+}  // namespace
+
+IncrementalMinWidthResult FindMinimumWidthIncremental(
+    const graph::Graph& conflict_graph, int lower_bound,
+    const IncrementalMinWidthOptions& options) {
+  Stopwatch stopwatch;
   IncrementalMinWidthResult result;
+  // K_max: a width DSATUR certifies as routable; the search cannot pass it.
+  const int k_max = std::max(
+      1, graph::NumColorsUsed(graph::DsaturColoring(conflict_graph)));
+  const int start = std::max(1, std::min(lower_bound, k_max));
+  const std::vector<graph::VertexId> sequence =
+      symmetry::SymmetrySequence(conflict_graph, k_max, options.heuristic);
+  const Deadline deadline = options.timeout_seconds > 0.0
+                                ? Deadline::After(options.timeout_seconds)
+                                : Deadline::Infinite();
 
   obs::TraceWriter* const trace = obs::GlobalTrace();
   obs::RunReportWriter* const report = obs::GlobalReport();
@@ -135,24 +94,26 @@ IncrementalMinWidthResult SweepMonolithic(
   // the incremental flow never needs a materialized Cnf.
   sat::Solver solver(options.solver);
   sat::SolverSink sink(solver);
-  std::vector<sat::Var> guard;
   obs::TraceSpan encode_span(trace, "encode_guarded", "incremental");
   encode_span.AddArg("instance", obs::JsonValue(RunLabel(options)));
-  encode_span.AddArg("k_max", obs::JsonValue(setup.k_max));
-  const encode::ColoringLayout layout =
-      EmitGuardedFormula(conflict_graph, setup, options, sink, &guard);
+  encode_span.AddArg("k_max", obs::JsonValue(k_max));
+  const encode::ColoringLayout layout = encode::EncodeColoringToSink(
+      conflict_graph, k_max, options.encoding, sequence, sink);
+  const std::vector<sat::Var> guard =
+      encode::EmitWidthLadder(layout, start, sink);
   encode_span.End();
   if (!sink.Finish()) {
     // Encoding contradictory without any guard: no width up to k_max works,
     // which cannot happen (k_max is DSATUR-certified). Defensive bail-out.
     result.error = kRefutedBelowDsatur;
+    result.total_seconds = stopwatch.Seconds();
     return result;
   }
 
-  for (int w = setup.start; w <= setup.k_max; ++w) {
+  for (int w = start; w <= k_max; ++w) {
     ++result.widths_tested;
     std::vector<sat::Lit> assumptions;
-    if (w < setup.k_max) {
+    if (w < k_max) {
       assumptions.push_back(
           sat::Lit::Pos(guard[static_cast<std::size_t>(w)]));
     }
@@ -173,8 +134,7 @@ IncrementalMinWidthResult SweepMonolithic(
     width_span.End();
     if (observer.has_value()) solver.SetObserver(nullptr);
     if (report != nullptr) {
-      obs::RunRecord record =
-          MakeWidthRecord(options, w, layout, options.heuristic);
+      obs::RunRecord record = MakeWidthRecord(options, w, layout);
       record.verdict = sat::ToString(status);
       const sat::SolverStats window = solver.stats().Since(before);
       record.solve_seconds = window.solve_seconds;
@@ -199,131 +159,6 @@ IncrementalMinWidthResult SweepMonolithic(
     }
   }
   result.solver_stats = solver.stats();
-  return result;
-}
-
-IncrementalMinWidthResult SweepWithCubes(
-    const graph::Graph& conflict_graph, const SweepSetup& setup,
-    const IncrementalMinWidthOptions& options, const Deadline& deadline) {
-  IncrementalMinWidthResult result;
-
-  const encode::DomainEncoding domain =
-      encode::EncodeDomain(options.encoding, setup.k_max);
-  const std::uint64_t key =
-      encode::NumberingKey(domain, setup.k_max, setup.sequence);
-
-  // Every worker streams the identical guarded formula into its resident
-  // solver; worker 0's layout and guard ids serve all of them (emission is
-  // deterministic, so the numberings coincide — which is also what makes
-  // full-key clause sharing between the workers sound).
-  encode::ColoringLayout layout;
-  std::vector<sat::Var> guard;
-  const auto loader = [&](int worker, sat::Solver& solver) {
-    sat::SolverSink sink(solver);
-    std::vector<sat::Var> worker_guard;
-    encode::ColoringLayout built = EmitGuardedFormula(
-        conflict_graph, setup, options, sink, &worker_guard);
-    if (worker == 0) {
-      layout = std::move(built);
-      guard = std::move(worker_guard);
-    }
-    return sink.Finish();
-  };
-
-  cube::CubePoolOptions pool_options;
-  pool_options.num_workers = options.cube_workers;
-  pool_options.deterministic = options.cube_deterministic;
-  pool_options.share_max_lbd = options.solver.share_max_lbd;
-  cube::CubeWorkerPool pool(options.solver, pool_options, key, loader);
-  if (!pool.okay()) {
-    result.error = kRefutedBelowDsatur;
-    result.solver_stats = pool.MergedStats();
-    return result;
-  }
-
-  obs::TraceWriter* const trace = obs::GlobalTrace();
-  obs::RunReportWriter* const report = obs::GlobalReport();
-
-  cube::CubeGenOptions gen;
-  gen.target_cubes = options.cube_target_cubes;
-  for (int w = setup.start; w <= setup.k_max; ++w) {
-    ++result.widths_tested;
-    // Branch colors are clipped to W: the guard ladder forbids colors >= W
-    // everywhere, so wider branches would be dead on arrival.
-    const cube::CubeSet cube_set = cube::GenerateCubes(
-        conflict_graph, domain, w, setup.sequence, gen);
-    std::vector<sat::Lit> base;
-    if (w < setup.k_max) {
-      base.push_back(sat::Lit::Pos(guard[static_cast<std::size_t>(w)]));
-    }
-    obs::TraceSpan width_span(trace, "width " + std::to_string(w),
-                              "incremental");
-    width_span.AddArg("cubes",
-                      obs::JsonValue(static_cast<std::uint64_t>(
-                          cube_set.cubes.size())));
-    const sat::SolverStats before = pool.MergedStats();
-    const cube::CubeWorkerPool::BatchResult batch =
-        pool.SolveBatch(cube_set.cubes, base, deadline);
-    result.cubes_solved += batch.cubes_resolved;
-    result.cubes_stolen += batch.cubes_stolen;
-    width_span.AddArg("verdict", obs::JsonValue(sat::ToString(batch.status)));
-    width_span.End();
-    if (report != nullptr) {
-      obs::RunRecord record =
-          MakeWidthRecord(options, w, layout, options.heuristic);
-      record.cube_workers = pool.num_workers();
-      record.verdict = sat::ToString(batch.status);
-      // Merged-stats convention: aggregate CPU seconds over all workers.
-      const sat::SolverStats window = pool.MergedStats().Since(before);
-      record.solve_seconds = window.solve_seconds;
-      record.total_seconds = window.solve_seconds;
-      record.SetSolverWindow(window);
-      record.cubes = static_cast<std::uint64_t>(cube_set.cubes.size());
-      record.cubes_stolen =
-          static_cast<std::uint64_t>(batch.cubes_stolen);
-      if (batch.has_observed) {
-        record.has_observed = true;
-        record.observed_propagations = batch.observed.propagations;
-        record.observed_conflicts = batch.observed.conflicts;
-        record.observed_restarts = batch.observed.restarts;
-        record.observed_learned = batch.observed.learned;
-        record.observed_bcp_seconds = batch.observed.bcp_seconds;
-        record.observed_analyze_seconds = batch.observed.analyze_seconds;
-        record.observed_inprocess_seconds = batch.observed.inprocess_seconds;
-      }
-      report->Append(record);
-    }
-    if (batch.status == sat::SolveResult::kUnknown) break;  // timeout
-    if (batch.status == sat::SolveResult::kSat) {
-      AcceptModel(conflict_graph, layout, batch.model, w, &result);
-      break;
-    }
-    if (batch.refuted) {
-      // A worker's okay() dropped: the whole guarded formula is UNSAT,
-      // impossible below the DSATUR bound.
-      result.error = kRefutedBelowDsatur;
-      break;
-    }
-  }
-  result.solver_stats = pool.MergedStats();
-  result.exchange_totals = pool.exchange_totals();
-  return result;
-}
-
-}  // namespace
-
-IncrementalMinWidthResult FindMinimumWidthIncremental(
-    const graph::Graph& conflict_graph, int lower_bound,
-    const IncrementalMinWidthOptions& options) {
-  Stopwatch stopwatch;
-  const SweepSetup setup = PrepareSweep(conflict_graph, lower_bound, options);
-  const Deadline deadline = options.timeout_seconds > 0.0
-                                ? Deadline::After(options.timeout_seconds)
-                                : Deadline::Infinite();
-  IncrementalMinWidthResult result =
-      options.cube_workers > 0
-          ? SweepWithCubes(conflict_graph, setup, options, deadline)
-          : SweepMonolithic(conflict_graph, setup, options, deadline);
   result.total_seconds = stopwatch.Seconds();
   return result;
 }

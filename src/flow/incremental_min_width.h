@@ -17,13 +17,18 @@
 // Symmetry breaking uses the K_max sequence, which remains sound for every
 // W <= K_max (Van Gelder's renaming argument assigns first-seen color
 // classes the smallest indices, so a W-coloring renames into colors < W).
+//
+// The ladder is encode::EmitWidthLadder, the same emitter RoutingSession
+// uses. The sweep keeps its own single-guard solver loop rather than
+// driving a session: a session assumes every net's activation literal on
+// every solve (DESIGN.md §14 has the measurement).
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "encode/registry.h"
 #include "graph/graph.h"
-#include "sat/clause_exchange.h"
 #include "sat/solver.h"
 #include "symmetry/symmetry.h"
 
@@ -35,16 +40,6 @@ struct IncrementalMinWidthOptions {
   sat::SolverOptions solver = sat::SolverOptions::SiegeLike();
   /// Wall-clock budget for the whole search; <= 0 means unlimited.
   double timeout_seconds = 0.0;
-  /// Cube-and-conquer: when > 0, the guard-ladder formula is loaded into
-  /// this many RESIDENT worker solvers (src/cube) and every width's query
-  /// is split into cubes over the symmetry-prefix / high-degree vertices.
-  /// Each worker keeps its solver across cubes AND widths, so the
-  /// clause-reuse benefit of the incremental sweep survives the split.
-  int cube_workers = 0;
-  /// Cube-count target per width (see cube::CubeGenOptions).
-  int cube_target_cubes = 256;
-  /// Pin cube order and disable stealing/sharing (reproducible runs).
-  bool cube_deterministic = false;
   /// Telemetry label (trace spans / run-report records); empty is fine.
   std::string run_label;
 };
@@ -67,15 +62,10 @@ struct IncrementalMinWidthResult {
   /// formula below the DSATUR-certified width. Either means a solver or
   /// encoding bug, reported instead of silently returning garbage.
   std::string error;
-  /// Number of SAT queries issued (one per width tested; in cube mode a
-  /// width counts once regardless of its cube count).
+  /// Number of SAT queries issued (one per width tested).
   int widths_tested = 0;
-  /// Aggregate statistics of the underlying solver(s).
+  /// Statistics of the resident solver.
   sat::SolverStats solver_stats;
-  // Cube-mode counters (zero in monolithic mode).
-  std::size_t cubes_solved = 0;
-  std::size_t cubes_stolen = 0;
-  sat::ClauseExchange::Totals exchange_totals;
   double total_seconds = 0.0;
 };
 

@@ -16,16 +16,6 @@ struct MinWidthOptions {
   /// Upper bound on the search (safety net; conflict graphs are always
   /// colorable with max-degree+1 colors).
   int max_width = 64;
-  /// Cube-and-conquer: when > 0, each width is solved by a cube worker
-  /// pool (src/cube) of this many resident solvers instead of one
-  /// monolithic solver — the hard UNSAT widths parallelize across the cube
-  /// split. route.encoding/heuristic/solver/timeout/stop still apply;
-  /// route.exchange does not (the pool runs its own internal exchange).
-  int cube_workers = 0;
-  /// Cube-count target per width (see cube::CubeGenOptions).
-  int cube_target_cubes = 256;
-  /// Pin cube order and disable stealing/sharing (reproducible runs).
-  bool cube_deterministic = false;
 };
 
 struct MinWidthResult {

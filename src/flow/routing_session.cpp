@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "common/stopwatch.h"
-#include "encode/cube.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/solver_trace.h"
@@ -84,30 +83,10 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
         static_cast<int>(j) + 1;
   }
 
-  // Width guard ladder (see incremental_min_width): g_W forbids track W
-  // everywhere and implies g_{W+1}; assuming g_W caps the usable tracks at
-  // W. Emitted outside every group — the ladder is graph-independent, so no
-  // delta ever touches it.
-  guard_.assign(static_cast<std::size_t>(max_width_), -1);
-  for (int w = 1; w < max_width_; ++w) {
-    guard_[static_cast<std::size_t>(w)] = grouped_->EmitVar();
-  }
-  sat::Clause scratch;
-  for (int w = 1; w < max_width_; ++w) {
-    const sat::Var g = guard_[static_cast<std::size_t>(w)];
-    if (w + 1 < max_width_) {
-      grouped_->EmitBinary(
-          sat::Lit::Neg(g),
-          sat::Lit::Pos(guard_[static_cast<std::size_t>(w + 1)]));
-    }
-    for (std::size_t v = 0; v < layout_.vertex_offset.size(); ++v) {
-      scratch = encode::NegateCube(
-          layout_.domain.value_cubes[static_cast<std::size_t>(w)],
-          layout_.vertex_offset[v]);
-      scratch.push_back(sat::Lit::Neg(g));
-      grouped_->EmitClause(scratch);
-    }
-  }
+  // Width guard ladder (encode::EmitWidthLadder): assuming g_W caps the
+  // usable tracks at W. Emitted outside every group — the ladder is
+  // graph-independent, so no delta ever touches it.
+  guard_ = encode::EmitWidthLadder(layout_, 1, *grouped_);
 
   // Everything from here up is the base numbering; everything from here on
   // is a selector.

@@ -10,10 +10,8 @@
 // byte-for-byte the pre-sink encoder output), feed them straight into a
 // Solver (SolverSink, the default solve path: zero intermediate
 // materialization), stream them to disk (StreamingDimacsSink, so instances
-// too big to hold in memory can still be exported), count them
-// (CountingSink, allocation-free statistics), or simplify them on the fly
-// (SimplifyingSink, a chainable unit-propagation / duplicate-literal /
-// tautology filter in the spirit of Boolean equi-propagation).
+// too big to hold in memory can still be exported), or count them
+// (CountingSink, allocation-free statistics).
 //
 // Contract:
 //  * EnsureVars/EmitVar before emitting clauses over those variables.
@@ -21,7 +19,7 @@
 //    EmitClause call; sinks must copy what they keep.
 //  * Finish() exactly once after the last emission (header back-patching,
 //    flushing). It returns false if the sink has proof the formula is
-//    trivially unsatisfiable (SolverSink / SimplifyingSink) or if an I/O
+//    trivially unsatisfiable (SolverSink) or if an I/O
 //    error occurred (StreamingDimacsSink).
 #pragma once
 
@@ -85,8 +83,7 @@ class ClauseSink {
   virtual bool Finish() { return true; }
 
   int num_vars() const { return num_vars_; }
-  /// Clauses / literals emitted *into* this sink (a chained simplifier may
-  /// forward fewer downstream).
+  /// Clauses / literals emitted into this sink.
   std::uint64_t num_clauses() const { return num_clauses_; }
   std::uint64_t num_literals() const { return num_literals_; }
 
@@ -228,57 +225,6 @@ class TeeSink final : public ClauseSink {
  private:
   ClauseSink& a_;
   ClauseSink& b_;
-};
-
-/// Chainable inline simplifier (equi-propagation-lite): drops duplicate
-/// literals and tautologies, tracks unit clauses as a level-0 assignment,
-/// removes falsified literals, and drops satisfied clauses — all while the
-/// stream flows to the downstream sink. Earlier clauses are not revisited
-/// when a later unit arrives (it is a single forward pass, not a fixpoint).
-/// Forwarded clauses have their literals in sorted order.
-class SimplifyingSink final : public ClauseSink {
- public:
-  struct Stats {
-    /// Clauses not forwarded: satisfied by a fixed literal or tautological.
-    std::uint64_t dropped_satisfied = 0;
-    std::uint64_t dropped_tautologies = 0;
-    /// Literals removed from forwarded clauses (duplicates + falsified).
-    std::uint64_t eliminated_literals = 0;
-    /// Variables fixed by (possibly strengthened-to-) unit clauses.
-    std::uint64_t fixed_units = 0;
-
-    std::uint64_t DroppedClauses() const {
-      return dropped_satisfied + dropped_tautologies;
-    }
-  };
-
-  explicit SimplifyingSink(ClauseSink& down) : down_(down) {
-    num_vars_ = down.num_vars();
-  }
-
-  void EnsureVars(int n) override {
-    ClauseSink::EnsureVars(n);
-    fixed_.resize(static_cast<std::size_t>(num_vars_), LBool::kUndef);
-    down_.EnsureVars(n);
-  }
-  void ReserveClauses(std::uint64_t n) override { down_.ReserveClauses(n); }
-
-  /// False if a contradiction was derived (the empty clause was forwarded
-  /// downstream, so downstream consumers agree) or downstream failed.
-  bool Finish() override { return down_.Finish() && !contradiction_; }
-
-  const Stats& stats() const { return stats_; }
-  bool contradiction() const { return contradiction_; }
-
- protected:
-  void DoEmit(const Lit* lits, std::size_t n) override;
-
- private:
-  ClauseSink& down_;
-  std::vector<LBool> fixed_;  // level-0 assignment from unit clauses
-  Clause scratch_;
-  Stats stats_;
-  bool contradiction_ = false;
 };
 
 }  // namespace satfr::sat

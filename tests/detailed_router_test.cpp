@@ -189,30 +189,6 @@ TEST(DetailedRouterTest, SelfcheckAndProofVerificationMaterialize) {
   EXPECT_FALSE(proved.streamed_encode);
 }
 
-TEST(DetailedRouterTest, InlineSimplifyAgreesWithPlainStreaming) {
-  const RoutedBenchmark& rb = Tiny();
-  const graph::Graph conflict = BuildConflictGraph(rb.arch, rb.routing);
-  const int width = graph::NumColorsUsed(graph::DsaturColoring(conflict));
-  DetailedRouteOptions options;
-  options.inline_simplify = true;
-  const DetailedRouteResult sat_result =
-      RouteDetailed(rb.arch, rb.routing, width, options);
-  EXPECT_EQ(sat_result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(sat_result.streamed_encode);
-  std::string error;
-  EXPECT_TRUE(ValidateTrackAssignment(rb.arch, rb.routing, sat_result.tracks,
-                                      width, &error))
-      << error;
-  // Reported clause counts stay pre-simplification (Table 1 invariant).
-  EXPECT_EQ(sat_result.encode_stats.TotalEmitted(), sat_result.cnf_clauses);
-
-  if (rb.peak >= 2) {
-    const DetailedRouteResult unsat_result =
-        RouteDetailed(rb.arch, rb.routing, rb.peak - 1, options);
-    EXPECT_EQ(unsat_result.status, sat::SolveResult::kUnsat);
-  }
-}
-
 TEST(DetailedRouterTest, ZeroTimeoutMeansUnlimited) {
   const RoutedBenchmark& rb = Tiny();
   DetailedRouteOptions options;

@@ -146,69 +146,6 @@ TEST(IncrementalMinWidthTest, WorksAcrossEncodingsAndHeuristics) {
   }
 }
 
-TEST(IncrementalMinWidthTest, CubeSweepMatchesExactChromaticNumber) {
-  Rng rng(16180);
-  for (int i = 0; i < 6; ++i) {
-    const graph::Graph g = testutil::RandomGraph(rng, 12, 0.35);
-    const int chi = graph::ChromaticNumberExact(g);
-    IncrementalMinWidthOptions options;
-    options.cube_workers = 2;
-    const IncrementalMinWidthResult result =
-        FindMinimumWidthIncremental(g, 1, options);
-    EXPECT_EQ(result.min_width, chi) << "iteration " << i;
-    EXPECT_TRUE(result.proven_optimal);
-    EXPECT_TRUE(result.model_validated);
-    EXPECT_TRUE(result.error.empty()) << result.error;
-    EXPECT_TRUE(g.IsProperColoring(result.tracks));
-    for (const int track : result.tracks) {
-      EXPECT_LT(track, chi);
-    }
-  }
-}
-
-TEST(IncrementalMinWidthTest, CubeSweepAgreesWithMonolithicOnBenchmarks) {
-  for (const std::string name : {"tiny", "9symml", "term1"}) {
-    const netlist::McncBenchmark bench =
-        netlist::GenerateMcncBenchmark(name);
-    const fpga::Arch arch(bench.params.grid_size);
-    const fpga::DeviceGraph device(arch);
-    const route::GlobalRouting routing =
-        route::RouteGlobally(device, bench.netlist, bench.placement);
-    const graph::Graph conflict = BuildConflictGraph(arch, routing);
-    const int peak = route::PeakCongestion(arch, routing);
-
-    const IncrementalMinWidthResult monolithic =
-        FindMinimumWidthIncremental(conflict, peak);
-    IncrementalMinWidthOptions options;
-    options.cube_workers = 2;
-    const IncrementalMinWidthResult cubed =
-        FindMinimumWidthIncremental(conflict, peak, options);
-    EXPECT_EQ(cubed.min_width, monolithic.min_width) << name;
-    EXPECT_TRUE(cubed.error.empty()) << name << ": " << cubed.error;
-    std::string error;
-    EXPECT_TRUE(ValidateTrackAssignment(arch, routing, cubed.tracks,
-                                        cubed.min_width, &error))
-        << name << ": " << error;
-  }
-}
-
-TEST(IncrementalMinWidthTest, CubeSweepDeterministicSingleWorker) {
-  Rng rng(141421);
-  const graph::Graph g = testutil::RandomGraph(rng, 14, 0.4);
-  IncrementalMinWidthOptions options;
-  options.cube_workers = 1;
-  options.cube_deterministic = true;
-  const IncrementalMinWidthResult first =
-      FindMinimumWidthIncremental(g, 1, options);
-  const IncrementalMinWidthResult second =
-      FindMinimumWidthIncremental(g, 1, options);
-  EXPECT_EQ(first.min_width, second.min_width);
-  EXPECT_EQ(first.tracks, second.tracks);
-  EXPECT_EQ(first.widths_tested, second.widths_tested);
-  EXPECT_EQ(first.cubes_solved, second.cubes_solved);
-  EXPECT_EQ(first.cubes_stolen, 0u);
-}
-
 TEST(IncrementalMinWidthTest, TimeoutReportsNoWidth) {
   Rng rng(999);
   const graph::Graph g = testutil::RandomGraph(rng, 60, 0.5);

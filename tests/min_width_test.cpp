@@ -63,24 +63,6 @@ TEST(MinWidthTest, EndToEndOnBenchmark) {
   EXPECT_EQ(graph::ChromaticNumberExact(conflict), result.min_width);
 }
 
-TEST(MinWidthTest, CubeModeMatchesExactChromaticNumber) {
-  Rng rng(808);
-  for (int i = 0; i < 6; ++i) {
-    const graph::Graph g = testutil::RandomGraph(rng, 12, 0.35);
-    const int chi = graph::ChromaticNumberExact(g);
-    MinWidthOptions options;
-    options.cube_workers = 2;
-    const MinWidthResult result = FindMinimumWidthOnGraph(g, 1, options);
-    EXPECT_EQ(result.min_width, chi) << "iteration " << i;
-    EXPECT_TRUE(result.proven_optimal);
-    EXPECT_EQ(result.routable.status, sat::SolveResult::kSat);
-    EXPECT_TRUE(g.IsProperColoring(result.routable.tracks));
-    if (chi > 1) {
-      EXPECT_EQ(result.unroutable.status, sat::SolveResult::kUnsat);
-    }
-  }
-}
-
 TEST(MinWidthTest, TimeoutLeavesMinWidthUnset) {
   // A graph large enough that a ~zero timeout cannot solve it.
   Rng rng(707);

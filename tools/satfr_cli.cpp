@@ -35,11 +35,12 @@
 //   --dimacs-out FILE (export only) stream the CNF to FILE instead of the
 //                     default <benchmark>_w<W>.cnf; the formula goes to
 //                     disk clause by clause and is never held in memory
-//   --cube            (prove/route/route-file) cube-and-conquer: split each
+//   --cube            (route --width W only) cube-and-conquer: split the
 //                     width into cubes solved by a worker pool with a
-//                     lock-free clause exchange
+//                     lock-free clause exchange. The width searches (prove,
+//                     route-file) are monolithic and reject --cube
 //   --workers N       (with --cube) worker-pool size (default 4)
-//   --cubes N         (with --cube) cube-count target per width (default 256)
+//   --cubes N         (with --cube) cube-count target (default 256)
 //   --deterministic   (with --cube) pin cube order, disable stealing and
 //                     sharing; single-worker runs become bit-reproducible
 //
@@ -265,11 +266,14 @@ class TelemetrySession {
   std::unique_ptr<obs::RunReportWriter> report_;
 };
 
-void ApplyCubeOptions(const CliOptions& opts, flow::MinWidthOptions* mw) {
-  if (!opts.cube) return;
-  mw->cube_workers = std::max(1, opts.workers);
-  mw->cube_target_cubes = std::max(1, opts.cubes);
-  mw->cube_deterministic = opts.deterministic;
+// Cube-and-conquer is an explicit backend for one fixed width; the width
+// searches are monolithic. Returns the exit code for a rejected --cube.
+int RejectCube(const char* command) {
+  std::fprintf(stderr,
+               "satfr %s: --cube is not supported here; the cube backend "
+               "is `satfr route <bench> --width W --cube`\n",
+               command);
+  return 2;
 }
 
 /// Prints selfcheck findings; true if any is error-severity (fail fast).
@@ -330,10 +334,10 @@ int CmdEncodings() {
 
 int CmdProve(const CliOptions& opts) {
   if (opts.positional.empty()) Usage();
+  if (opts.cube) return RejectCube("prove");
   const LoadedBenchmark loaded = LoadBenchmark(opts.positional[0]);
   flow::MinWidthOptions mw;
   mw.route = ToRouteOptions(opts);
-  ApplyCubeOptions(opts, &mw);
   const flow::MinWidthResult result =
       flow::FindMinimumWidthOnGraph(loaded.conflict, loaded.peak, mw);
   if (ReportLint(result.routable) || ReportLint(result.unroutable)) return 1;
@@ -582,6 +586,7 @@ int CmdColor(const CliOptions& opts) {
 
 int CmdRouteFile(const CliOptions& opts) {
   if (opts.positional.empty()) Usage();
+  if (opts.cube) return RejectCube("route-file");
   std::string error;
   const auto parsed =
       netlist::ParsePlacedNetlistFile(opts.positional[0], &error);
@@ -638,7 +643,6 @@ int CmdRouteFile(const CliOptions& opts) {
   }
   flow::MinWidthOptions mw;
   mw.route = ToRouteOptions(opts);
-  ApplyCubeOptions(opts, &mw);
   const auto result = flow::FindMinimumWidthOnGraph(conflict, peak, mw);
   if (result.min_width < 0) {
     std::printf("TIMEOUT before establishing W*\n");
