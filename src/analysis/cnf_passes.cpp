@@ -28,15 +28,6 @@ std::string ClauseText(const Clause& clause) {
   return text + ")";
 }
 
-/// True if every literal is valid and on an allocated variable — passes
-/// other than cnf-var-range skip clauses that fail this (the range pass
-/// owns reporting them).
-bool ClauseInRange(const Clause& clause, int num_vars) {
-  return std::all_of(clause.begin(), clause.end(), [num_vars](Lit l) {
-    return l.IsValid() && l.var() < num_vars;
-  });
-}
-
 /// Literal codes sorted ascending; the shared normal form for duplicate /
 /// subsumption tests (x and ~x stay adjacent: codes 2v and 2v+1).
 std::vector<int> SortedCodes(const Clause& clause) {

@@ -635,8 +635,17 @@ class SinkEquivalencePass final : public AnalysisPass {
   std::string_view description() const override {
     return "streamed emission must replay the materialized CNF exactly";
   }
+  // Re-encoding requires a sequence of at most K - 1 in-range vertices;
+  // encoding-symmetry-prefix reports any other sequence.
   bool Applicable(const AnalysisInput& input) const override {
-    return input.HasEncoding() && input.spec != nullptr;
+    if (!input.HasEncoding()) return false;
+    if (input.symmetry_sequence == nullptr) return true;
+    const std::vector<graph::VertexId>& seq = *input.symmetry_sequence;
+    const graph::VertexId n = input.conflict_graph->num_vertices();
+    return (seq.empty() ||
+            static_cast<int>(seq.size()) < input.encoded->num_colors) &&
+           std::all_of(seq.begin(), seq.end(),
+                       [n](graph::VertexId v) { return v >= 0 && v < n; });
   }
   void Run(const AnalysisInput& input, DiagnosticSink& sink) const override {
     const EncodedColoring& enc = *input.encoded;

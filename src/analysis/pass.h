@@ -8,6 +8,7 @@
 // or a full in-process encoding run.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -30,6 +31,15 @@ struct RunRecord;
 }  // namespace satfr::obs
 
 namespace satfr::analysis {
+
+/// True if every literal is valid and on an allocated variable. Passes
+/// other than cnf-var-range skip (or, if they load the CNF into a solver,
+/// do not apply to) input that fails this; the range pass reports it.
+inline bool ClauseInRange(const sat::Clause& clause, int num_vars) {
+  return std::all_of(clause.begin(), clause.end(), [num_vars](sat::Lit l) {
+    return l.IsValid() && l.var() < num_vars;
+  });
+}
 
 /// One source file handed to the source-scan layer (`satlint sources`):
 /// the path is used for diagnostics, the content is scanned verbatim.

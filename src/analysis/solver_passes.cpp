@@ -1,5 +1,6 @@
 #include "analysis/solver_passes.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -21,8 +22,14 @@ class SolverInvariantsPass final : public AnalysisPass {
     return "solver arena/watcher/trail invariants hold after a GC-heavy "
            "bounded solve";
   }
+  // Solver::AddClause requires every literal in range.
   bool Applicable(const AnalysisInput& input) const override {
-    return input.cnf != nullptr;
+    if (input.cnf == nullptr) return false;
+    const auto& clauses = input.cnf->clauses();
+    return std::all_of(clauses.begin(), clauses.end(),
+                       [&input](const sat::Clause& clause) {
+                         return ClauseInRange(clause, input.cnf->num_vars());
+                       });
   }
   void Run(const AnalysisInput& input, DiagnosticSink& sink) const override {
     sat::SolverOptions options;

@@ -50,6 +50,12 @@ class Deadline {
   /// Never-expiring deadline (same as default construction).
   static Deadline Infinite() { return Deadline(); }
 
+  /// The options' timeout convention: `seconds` from now, or never when
+  /// `seconds` <= 0.
+  static Deadline FromTimeout(double seconds) {
+    return seconds > 0.0 ? After(seconds) : Infinite();
+  }
+
   bool Expired() const {
     return has_deadline_ && Clock::now() >= when_;
   }

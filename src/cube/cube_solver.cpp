@@ -318,9 +318,7 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
   result.pruned_conflict = cube_set.pruned_conflict;
   result.pruned_symmetry = cube_set.pruned_symmetry;
 
-  const Deadline deadline = options.timeout_seconds > 0.0
-                                ? Deadline::After(options.timeout_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::FromTimeout(options.timeout_seconds);
   // Loading the formula can already propagate top-level units, so the
   // batch's solver window is a stats DELTA, not the pool's lifetime total —
   // the telemetry-consistency pass compares it against the observer sums,
@@ -335,23 +333,12 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
   result.cubes_stolen = batch.cubes_stolen;
   result.worker_loads = std::move(batch.worker_loads);
   if (batch.status == sat::SolveResult::kSat) {
-    std::vector<int> colors = encode::DecodeColoring(layout, batch.model);
-    bool valid = static_cast<int>(colors.size()) == g.num_vertices() &&
-                 g.IsProperColoring(colors);
-    for (const int c : colors) {
-      if (c < 0 || c >= num_colors) valid = false;
-    }
-    if (valid) {
-      result.colors = std::move(colors);
-      result.model_validated = true;
-    } else {
-      // A model that fails decoding/validation means a solver or encoding
-      // bug: report kUnknown with an error instead of a false SAT verdict.
+    result.error = encode::DecodeProperColoring(g, layout, batch.model,
+                                                num_colors, &result.colors);
+    if (!result.error.empty()) {
+      // A solver or encoding bug: report kUnknown instead of a false SAT.
       result.status = sat::SolveResult::kUnknown;
       result.winning_cube = -1;
-      result.error =
-          "cube SAT model failed validation (improper coloring or color "
-          "out of range)";
     }
   }
   result.solver_stats = pool.MergedStats();

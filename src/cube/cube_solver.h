@@ -160,15 +160,10 @@ struct CubeSolveOptions {
 
 struct CubeSolveResult {
   sat::SolveResult status = sat::SolveResult::kUnknown;
-  /// Proper coloring when status == kSat (decoded and validated here, not
-  /// just trusted — see `model_validated`).
+  /// Proper coloring when status == kSat (encode::DecodeProperColoring).
   std::vector<int> colors;
-  /// True when the kSat model decoded to a proper coloring within the
-  /// color bound. A kSat answer with model_validated == false is
-  /// impossible: validation failure downgrades status to kUnknown and
-  /// fills `error` instead.
-  bool model_validated = false;
-  /// Non-empty when internal validation failed (solver bug surfaced).
+  /// Non-empty when the model failed that check (a solver or encoding
+  /// bug); status is then kUnknown.
   std::string error;
 
   std::size_t num_cubes = 0;

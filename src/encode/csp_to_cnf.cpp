@@ -1,6 +1,7 @@
 #include "encode/csp_to_cnf.h"
 
 #include <cassert>
+#include <utility>
 
 namespace satfr::encode {
 
@@ -231,6 +232,19 @@ std::vector<int> DecodeColoring(const ColoringLayout& layout,
     colors[v] = DecodeValue(layout.domain, layout.vertex_offset[v], model);
   }
   return colors;
+}
+
+std::string DecodeProperColoring(const graph::Graph& g,
+                                 const ColoringLayout& layout,
+                                 const std::vector<bool>& model,
+                                 int num_colors, std::vector<int>* colors) {
+  std::vector<int> decoded = DecodeColoring(layout, model);
+  if (!g.IsProperColoring(decoded, num_colors)) {
+    return "decoded model at width " + std::to_string(num_colors) +
+           " is not a proper coloring within the width bound";
+  }
+  *colors = std::move(decoded);
+  return {};
 }
 
 }  // namespace satfr::encode

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "encode/hierarchical.h"
@@ -159,5 +160,14 @@ std::uint64_t NumberingKey(
 /// sound solver on a sound encoding).
 std::vector<int> DecodeColoring(const ColoringLayout& layout,
                                 const std::vector<bool>& model);
+
+/// The model check every SAT coloring answer passes, in every build type:
+/// decodes `model` and returns "" with `*colors` set if
+/// `g.IsProperColoring(decoded, num_colors)`, else an error (a solver or
+/// encoding bug). `layout` may encode more colors than `num_colors`.
+std::string DecodeProperColoring(const graph::Graph& g,
+                                 const ColoringLayout& layout,
+                                 const std::vector<bool>& model,
+                                 int num_colors, std::vector<int>* colors);
 
 }  // namespace satfr::encode

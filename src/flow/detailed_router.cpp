@@ -1,25 +1,17 @@
 #include "flow/detailed_router.h"
 
-#include <cassert>
-#include <optional>
 #include <utility>
 
 #include "analysis/runner.h"
 #include "flow/conflict_graph.h"
-#include "flow/track_checker.h"
+#include "flow/solve_step.h"
 #include "obs/metrics.h"
-#include "obs/run_report.h"
-#include "obs/solver_trace.h"
 #include "obs/trace.h"
 #include "sat/clause_sink.h"
 #include "sat/rup_checker.h"
 
 namespace satfr::flow {
 namespace {
-
-const char* RunLabel(const DetailedRouteOptions& options) {
-  return options.run_label.empty() ? "graph" : options.run_label.c_str();
-}
 
 /// `routing` is non-null only when the caller extracted the conflict graph
 /// from a global routing itself; the selfcheck's flow-two-pin pass then
@@ -34,14 +26,9 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   result.conflict_vertices = conflict_graph.num_vertices();
   result.conflict_edges = conflict_graph.num_edges();
 
-  // Telemetry is pull-installed: both sinks default to null, so a solve
-  // with telemetry off costs two atomic loads here and nothing downstream.
-  obs::TraceWriter* trace = obs::GlobalTrace();
-  obs::RunReportWriter* report = obs::GlobalReport();
-
   Stopwatch encode_watch;
-  obs::TraceSpan encode_span(trace, "encode", "flow");
-  encode_span.AddArg("instance", obs::JsonValue(RunLabel(options)));
+  obs::TraceSpan encode_span(obs::GlobalTrace(), "encode", "route");
+  encode_span.AddArg("instance", obs::JsonValue(RunLabel(options.run_label)));
   encode_span.AddArg("encoding", obs::JsonValue(options.encoding.name));
   encode_span.AddArg("symmetry",
                      obs::JsonValue(symmetry::ToString(options.heuristic)));
@@ -59,11 +46,9 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   }
 
   sat::Solver solver(options.solver);
-  std::optional<obs::SolverTelemetryObserver> observer;
-  if (trace != nullptr || report != nullptr) {
-    observer.emplace(trace);
-    solver.SetObserver(&*observer);
-  }
+  // Opened on the fresh solver: the step's window covers load and solve.
+  SolveStep step(solver, "route", options.run_label, options.encoding.name,
+                 options.heuristic, num_tracks);
   std::vector<sat::Clause> proof;
   if (options.verify_unsat_proof) solver.SetProofLog(&proof);
   if (options.exchange != nullptr && options.exchange_participant >= 0) {
@@ -73,12 +58,12 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   // Everyone except the materialized paths streams the encoder straight into
   // the solver and never holds an intermediate Cnf — unless a cached
   // instance is being reused, in which case its CNF bytes are loaded as-is.
+  // A load that refutes the formula leaves the solver answering kUnsat.
   encode::ColoringLayout layout;
   encode::EncodedColoring encoded;
-  bool consistent = true;
   if (reuse) {
     const encode::EncodedColoring& pre = *options.reuse_encoding;
-    consistent = solver.AddCnf(pre.cnf);
+    solver.AddCnf(pre.cnf);
     layout = static_cast<const encode::ColoringLayout&>(pre);
     result.reused_encoding = true;
   } else if (materialize) {
@@ -105,13 +90,13 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
         return result;
       }
     }
-    consistent = solver.AddCnf(encoded.cnf);
+    solver.AddCnf(encoded.cnf);
     layout = std::move(static_cast<encode::ColoringLayout&>(encoded));
   } else {
     sat::SolverSink direct(solver);
     layout = encode::EncodeColoringToSink(conflict_graph, num_tracks,
                                           options.encoding, sequence, direct);
-    consistent = direct.Finish();
+    direct.Finish();
     result.streamed_encode = true;
   }
   result.cnf_vars = layout.num_vars;
@@ -124,49 +109,14 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                          result.cnf_clauses)));
   encode_span.End();
 
-  Stopwatch solve_watch;
-  obs::TraceSpan solve_span(trace, "solve", "flow");
-  solve_span.AddArg("instance", obs::JsonValue(RunLabel(options)));
-  solve_span.AddArg("encoding", obs::JsonValue(options.encoding.name));
-  solve_span.AddArg("width", obs::JsonValue(num_tracks));
-  if (!consistent) {
-    result.status = sat::SolveResult::kUnsat;
-  } else {
-    const Deadline deadline = options.timeout_seconds > 0.0
-                                  ? Deadline::After(options.timeout_seconds)
-                                  : Deadline::Infinite();
-    result.status = solver.Solve(deadline, options.stop);
-  }
-  result.solve_seconds = solve_watch.Seconds();
+  step.record().coloring_seconds = result.coloring_seconds;
+  step.record().cnf_vars = static_cast<std::uint64_t>(result.cnf_vars);
+  step.record().cnf_clauses = static_cast<std::uint64_t>(result.cnf_clauses);
+  const Deadline deadline = Deadline::FromTimeout(options.timeout_seconds);
+  result.status = step.Solve({}, deadline, options.stop, "solve",
+                             result.encode_seconds);
+  result.solve_seconds = step.window().solve_seconds;
   result.solver_stats = solver.stats();
-  solve_span.AddArg("verdict", obs::JsonValue(sat::ToString(result.status)));
-  solve_span.End();
-
-  if (report != nullptr) {
-    obs::RunRecord record;
-    record.instance = RunLabel(options);
-    record.phase = "route";
-    record.encoding = options.encoding.name;
-    record.symmetry = symmetry::ToString(options.heuristic);
-    record.width = num_tracks;
-    record.verdict = sat::ToString(result.status);
-    record.coloring_seconds = result.coloring_seconds;
-    record.encode_seconds = result.encode_seconds;
-    record.solve_seconds = result.solve_seconds;
-    record.total_seconds = result.TotalSeconds();
-    record.cnf_vars = static_cast<std::uint64_t>(result.cnf_vars);
-    record.cnf_clauses = static_cast<std::uint64_t>(result.cnf_clauses);
-    // The solver is fresh in this function, so its lifetime stats ARE the
-    // solve window.
-    record.SetSolverWindow(solver.stats());
-    const sat::LearntTierSizes tiers = solver.TierSizes();
-    record.learnts_core = tiers.core;
-    record.learnts_tier2 = tiers.tier2;
-    record.learnts_local = tiers.local;
-    record.peak_clause_memory_bytes = solver.ClauseMemoryBytes();
-    if (observer.has_value()) observer->FillRecord(&record);
-    report->Append(record);
-  }
   {
     static const obs::MetricId solves =
         obs::GlobalMetrics().Counter("flow.solves");
@@ -174,9 +124,9 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   }
 
   if (result.status == sat::SolveResult::kSat) {
-    result.tracks = encode::DecodeColoring(layout, solver.model());
-    assert(conflict_graph.IsProperColoring(result.tracks) &&
-           "decoded model must be a proper coloring");
+    result.error = encode::DecodeProperColoring(
+        conflict_graph, layout, solver.model(), num_tracks, &result.tracks);
+    if (!result.error.empty()) result.status = sat::SolveResult::kUnknown;
   } else if (result.status == sat::SolveResult::kUnsat &&
              options.verify_unsat_proof) {
     result.proof_clauses = proof.size();
@@ -194,18 +144,8 @@ DetailedRouteResult RouteDetailed(const fpga::Arch& arch,
   Stopwatch coloring_watch;
   const graph::Graph conflict_graph = BuildConflictGraph(arch, routing);
   const double coloring_seconds = coloring_watch.Seconds();
-  DetailedRouteResult result = SolveOnGraph(conflict_graph, num_tracks,
-                                            options, coloring_seconds,
-                                            &routing);
-#ifndef NDEBUG
-  if (result.status == sat::SolveResult::kSat) {
-    std::string error;
-    assert(ValidateTrackAssignment(arch, routing, result.tracks, num_tracks,
-                                   &error) &&
-           "SAT model must decode to a valid detailed routing");
-  }
-#endif
-  return result;
+  return SolveOnGraph(conflict_graph, num_tracks, options, coloring_seconds,
+                      &routing);
 }
 
 DetailedRouteResult RouteDetailedOnGraph(

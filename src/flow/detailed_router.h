@@ -64,8 +64,12 @@ struct DetailedRouteOptions {
 
 struct DetailedRouteResult {
   sat::SolveResult status = sat::SolveResult::kUnknown;
-  /// Track per 2-pin net; filled only when status == kSat.
+  /// Track per 2-pin net; filled only when status == kSat, and then always
+  /// a proper coloring of the conflict graph in [0, num_tracks).
   std::vector<int> tracks;
+  /// Non-empty when the model failed encode::DecodeProperColoring (a
+  /// solver or encoding bug); status is then kUnknown.
+  std::string error;
 
   // Time breakdown, in seconds (paper Table 2 reports their sum).
   double coloring_seconds = 0.0;
@@ -104,8 +108,9 @@ struct DetailedRouteResult {
 };
 
 /// Routes `routing` in `num_tracks` tracks. kSat => `tracks` is a valid
-/// detailed routing (checked against the track checker in debug builds);
-/// kUnsat => provably unroutable at this width; kUnknown => timeout/stop.
+/// detailed routing (the model check runs in every build type); kUnsat =>
+/// provably unroutable at this width; kUnknown => timeout/stop, or a model
+/// that failed the check (see `error`).
 DetailedRouteResult RouteDetailed(const fpga::Arch& arch,
                                   const route::GlobalRouting& routing,
                                   int num_tracks,

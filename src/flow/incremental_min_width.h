@@ -50,17 +50,11 @@ struct IncrementalMinWidthResult {
   int min_width = -1;
   /// True when every width in [lower_bound, min_width) was refuted.
   bool proven_optimal = false;
-  /// A valid track assignment at min_width.
+  /// A proper coloring in [0, min_width) (encode::DecodeProperColoring).
   std::vector<int> tracks;
-  /// True when `tracks` was checked to be a proper coloring within the
-  /// width bound. Always true when min_width >= 0 — validation failure
-  /// clears min_width and reports through `error` instead (the checks are
-  /// real code, not asserts, so they hold in Release builds too).
-  bool model_validated = false;
-  /// Non-empty when an internal validation failed: the decoded model was
-  /// not a proper in-bounds coloring, or a guarded UNSAT refuted the whole
-  /// formula below the DSATUR-certified width. Either means a solver or
-  /// encoding bug, reported instead of silently returning garbage.
+  /// Non-empty when the model failed encode::DecodeProperColoring or a
+  /// guarded UNSAT refuted the whole formula below the DSATUR-certified
+  /// width: a solver or encoding bug. min_width is then -1.
   std::string error;
   /// Number of SAT queries issued (one per width tested).
   int widths_tested = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "flow/conflict_graph.h"
 #include "obs/trace.h"
@@ -25,7 +26,8 @@ MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
                       obs::JsonValue(sat::ToString(attempt.status)));
     width_span.End();
     if (attempt.status == sat::SolveResult::kUnknown) {
-      return result;  // timed out; min_width stays -1
+      result.error = std::move(attempt.error);
+      return result;  // timed out or failed the model check; min_width -1
     }
     if (attempt.status == sat::SolveResult::kSat) {
       result.min_width = width;
@@ -42,6 +44,8 @@ MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
         if (proof.status == sat::SolveResult::kUnsat) {
           result.proven_optimal = true;
           result.unroutable = std::move(proof);
+        } else {
+          result.error = std::move(proof.error);
         }
       }
       return result;

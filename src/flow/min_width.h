@@ -7,6 +7,8 @@
 // above the trivial bound of 1).
 #pragma once
 
+#include <string>
+
 #include "flow/detailed_router.h"
 
 namespace satfr::flow {
@@ -19,9 +21,11 @@ struct MinWidthOptions {
 };
 
 struct MinWidthResult {
-  /// Smallest W with a detailed routing; -1 if the search failed (timeout
-  /// or max_width exceeded).
+  /// Smallest W with a detailed routing; -1 if the search failed (timeout,
+  /// max_width exceeded, or a model that failed the model check).
   int min_width = -1;
+  /// The failing width's DetailedRouteResult::error, if any.
+  std::string error;
   /// Congestion lower bound the search started from.
   int lower_bound = 1;
   /// True when min_width-1 was proven UNSAT (or min_width == 1).

@@ -6,18 +6,13 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "flow/solve_step.h"
 #include "obs/metrics.h"
-#include "obs/run_report.h"
-#include "obs/solver_trace.h"
 #include "obs/trace.h"
 
 namespace satfr::flow {
 
 namespace {
-
-const char* RunLabel(const RoutingSessionOptions& options) {
-  return options.run_label.empty() ? "graph" : options.run_label.c_str();
-}
 
 void EraseValue(std::vector<graph::VertexId>& list, graph::VertexId value) {
   const auto it = std::find(list.begin(), list.end(), value);
@@ -65,7 +60,7 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
   }
 
   obs::TraceSpan span(obs::GlobalTrace(), "session_encode", "session");
-  span.AddArg("instance", obs::JsonValue(RunLabel(options_)));
+  span.AddArg("instance", obs::JsonValue(RunLabel(options_.run_label)));
   span.AddArg("max_width", obs::JsonValue(max_width_));
 
   // Base layout first, then the width-ladder guards, then (only) activation
@@ -273,56 +268,23 @@ SessionSolveResult RoutingSession::Solve(int width) {
     }
   }
 
-  obs::TraceWriter* const trace = obs::GlobalTrace();
-  obs::RunReportWriter* const report = obs::GlobalReport();
-  const sat::SolverStats before = solver_.stats();
-  std::optional<obs::SolverTelemetryObserver> observer;
-  if (trace != nullptr || report != nullptr) {
-    observer.emplace(trace);
-    solver_.SetObserver(&*observer);
-  }
-  obs::TraceSpan span(trace, "session solve width " + std::to_string(width),
-                      "session");
-  const Deadline deadline = options_.timeout_seconds > 0.0
-                                ? Deadline::After(options_.timeout_seconds)
-                                : Deadline::Infinite();
-  out.status = solver_.SolveWithAssumptions(assumptions_, deadline);
-  span.AddArg("verdict", obs::JsonValue(sat::ToString(out.status)));
-  span.End();
-  if (observer.has_value()) solver_.SetObserver(nullptr);
-
-  const sat::SolverStats window = solver_.stats().Since(before);
-  out.solve_seconds = window.solve_seconds;
+  SolveStep step(solver_, "session", options_.run_label,
+                 options_.encoding.name, options_.heuristic, width);
+  // The per-record delta window: everything applied since the previous
+  // Solve record, with the emission time reported as encode_seconds.
+  obs::RunRecord& record = step.record();
+  record.deltas_applied = session_stats_.deltas_applied - reported_deltas_;
+  record.groups_retired = session_stats_.groups_retired - reported_retired_;
+  record.cnf_vars = static_cast<std::uint64_t>(solver_.num_vars());
+  record.cnf_clauses = grouped_->num_clauses();
+  const Deadline deadline = Deadline::FromTimeout(options_.timeout_seconds);
+  out.status = step.Solve(
+      assumptions_, deadline, /*stop=*/nullptr,
+      "session solve width " + std::to_string(width),
+      session_stats_.delta_seconds - reported_delta_seconds_);
+  out.solve_seconds = step.window().solve_seconds;
   ++session_stats_.solves;
-
-  if (report != nullptr) {
-    obs::RunRecord record;
-    record.instance = RunLabel(options_);
-    record.phase = "session";
-    record.encoding = options_.encoding.name;
-    record.symmetry = symmetry::ToString(options_.heuristic);
-    record.width = width;
-    record.verdict = sat::ToString(out.status);
-    // The per-record delta window: everything applied since the previous
-    // Solve record, with the emission time reported as encode_seconds.
-    record.deltas_applied =
-        session_stats_.deltas_applied - reported_deltas_;
-    record.groups_retired =
-        session_stats_.groups_retired - reported_retired_;
-    record.encode_seconds =
-        session_stats_.delta_seconds - reported_delta_seconds_;
-    record.solve_seconds = window.solve_seconds;
-    record.total_seconds = record.encode_seconds + record.solve_seconds;
-    record.cnf_vars = static_cast<std::uint64_t>(solver_.num_vars());
-    record.cnf_clauses = grouped_->num_clauses();
-    record.SetSolverWindow(window);
-    const sat::LearntTierSizes tiers = solver_.TierSizes();
-    record.learnts_core = tiers.core;
-    record.learnts_tier2 = tiers.tier2;
-    record.learnts_local = tiers.local;
-    record.peak_clause_memory_bytes = solver_.ClauseMemoryBytes();
-    if (observer.has_value()) observer->FillRecord(&record);
-    report->Append(record);
+  if (step.reporting()) {
     reported_deltas_ = session_stats_.deltas_applied;
     reported_retired_ = session_stats_.groups_retired;
     reported_delta_seconds_ = session_stats_.delta_seconds;

@@ -57,8 +57,12 @@ std::vector<std::pair<VertexId, VertexId>> Graph::Edges() const {
   return edges;
 }
 
-bool Graph::IsProperColoring(const std::vector<int>& colors) const {
-  if (colors.size() < static_cast<std::size_t>(num_vertices())) return false;
+bool Graph::IsProperColoring(const std::vector<int>& colors,
+                             int num_colors) const {
+  if (colors.size() != static_cast<std::size_t>(num_vertices())) return false;
+  for (const int color : colors) {
+    if (color < 0 || color >= num_colors) return false;
+  }
   for (VertexId v = 0; v < num_vertices(); ++v) {
     for (const VertexId u : Neighbors(v)) {
       if (colors[static_cast<std::size_t>(v)] ==

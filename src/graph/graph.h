@@ -54,9 +54,10 @@ class Graph {
   /// All edges as (min, max) pairs, sorted.
   std::vector<std::pair<VertexId, VertexId>> Edges() const;
 
-  /// True if `colors[v] != colors[u]` for every edge {u, v}; `colors` must
-  /// cover all vertices.
-  bool IsProperColoring(const std::vector<int>& colors) const;
+  /// True if `colors` has one entry per vertex, each in [0, num_colors), and
+  /// `colors[u] != colors[v]` for every edge {u, v}. Every SAT answer's
+  /// coloring passes this check (encode::DecodeProperColoring).
+  bool IsProperColoring(const std::vector<int>& colors, int num_colors) const;
 
  private:
   std::vector<std::vector<VertexId>> adjacency_;

@@ -54,13 +54,13 @@ flow::DetailedRouteResult RunWalkSatStrategy(
 
   Stopwatch solve_watch;
   sat::WalkSat walksat(cnf);
-  const Deadline deadline = timeout_seconds > 0.0
-                                ? Deadline::After(timeout_seconds)
-                                : Deadline::Infinite();
+  const Deadline deadline = Deadline::FromTimeout(timeout_seconds);
   result.status = walksat.Solve(deadline, stop);
   result.solve_seconds = solve_watch.Seconds();
   if (result.status == sat::SolveResult::kSat) {
-    result.tracks = encode::DecodeColoring(layout, walksat.model());
+    result.error = encode::DecodeProperColoring(
+        conflict_graph, layout, walksat.model(), num_tracks, &result.tracks);
+    if (!result.error.empty()) result.status = sat::SolveResult::kUnknown;
   }
   return result;
 }
@@ -86,6 +86,7 @@ flow::DetailedRouteResult RunCubeStrategy(const graph::Graph& conflict_graph,
   flow::DetailedRouteResult result;
   result.status = cube_result.status;
   result.tracks = cube_result.colors;
+  result.error = cube_result.error;
   result.conflict_vertices = conflict_graph.num_vertices();
   result.conflict_edges = conflict_graph.num_edges();
   result.solve_seconds = cube_result.wall_seconds;

@@ -1,7 +1,7 @@
 #include "route/greedy_track_assigner.h"
 
 #include <algorithm>
-#include <cassert>
+#include <utility>
 
 namespace satfr::route {
 
@@ -29,40 +29,43 @@ GreedyAssignResult GreedyAssignTracks(const graph::Graph& conflict_graph,
   while (head < queue.size()) {
     const VertexId v = queue[head++];
     if (result.tracks[static_cast<std::size_t>(v)] != -1) continue;
-    // Tracks used by already-assigned neighbors, and per-track blocker.
-    std::vector<VertexId> blocker(static_cast<std::size_t>(num_tracks), -1);
-    std::vector<bool> used(static_cast<std::size_t>(num_tracks), false);
+    // Already-assigned neighbors, grouped by the track they hold.
+    std::vector<std::vector<VertexId>> holders(
+        static_cast<std::size_t>(num_tracks));
     for (const VertexId u : conflict_graph.Neighbors(v)) {
       const int t = result.tracks[static_cast<std::size_t>(u)];
-      if (t >= 0) {
-        used[static_cast<std::size_t>(t)] = true;
-        blocker[static_cast<std::size_t>(t)] = u;
-      }
+      if (t >= 0) holders[static_cast<std::size_t>(t)].push_back(u);
     }
     int chosen = -1;
     for (int t = 0; t < num_tracks; ++t) {
-      if (!used[static_cast<std::size_t>(t)]) {
+      if (holders[static_cast<std::size_t>(t)].empty()) {
         chosen = t;
         break;
       }
     }
-    if (chosen == -1 && ripup_budget > 0) {
-      // Evict the lowest-degree blocker and take its track.
-      VertexId victim = -1;
+    if (chosen == -1) {
+      // Rip-up: take the track that is cheapest to clear (fewest holders,
+      // then lowest total holder degree) among those the remaining budget
+      // can clear. Every holder is evicted, each one costing one rip-up.
+      std::pair<std::size_t, std::size_t> best_cost;
       for (int t = 0; t < num_tracks; ++t) {
-        const VertexId b = blocker[static_cast<std::size_t>(t)];
-        if (b < 0) continue;
-        if (victim < 0 ||
-            conflict_graph.Degree(b) < conflict_graph.Degree(victim)) {
-          victim = b;
+        const std::vector<VertexId>& h = holders[static_cast<std::size_t>(t)];
+        if (h.size() > static_cast<std::size_t>(ripup_budget)) continue;
+        std::size_t degree = 0;
+        for (const VertexId u : h) degree += conflict_graph.Degree(u);
+        const std::pair<std::size_t, std::size_t> cost{h.size(), degree};
+        if (chosen == -1 || cost < best_cost) {
           chosen = t;
+          best_cost = cost;
         }
       }
-      if (victim >= 0) {
-        result.tracks[static_cast<std::size_t>(victim)] = -1;
-        queue.push_back(victim);
-        --ripup_budget;
-        ++result.ripups;
+      if (chosen != -1) {
+        for (const VertexId u : holders[static_cast<std::size_t>(chosen)]) {
+          result.tracks[static_cast<std::size_t>(u)] = -1;
+          queue.push_back(u);
+          --ripup_budget;
+          ++result.ripups;
+        }
       }
     }
     if (chosen == -1) continue;  // stays unassigned
@@ -72,8 +75,8 @@ GreedyAssignResult GreedyAssignTracks(const graph::Graph& conflict_graph,
   for (const int t : result.tracks) {
     if (t < 0) ++result.unassigned;
   }
-  result.success = (result.unassigned == 0);
-  assert(!result.success || conflict_graph.IsProperColoring(result.tracks));
+  result.success = result.unassigned == 0 &&
+                   conflict_graph.IsProperColoring(result.tracks, num_tracks);
   return result;
 }
 

@@ -237,6 +237,9 @@ class ShardedLruCache {
     mc::MutexLock lock(shard.mutex);
     auto it = shard.index.find(h);
     if (it != shard.index.end()) {
+      // A distinct key with the same 64-bit hash is resident: first writer
+      // wins the slot, so the resident key keeps its own value.
+      if (!(it->second->key == key)) return;
       // Refresh in place (idempotent re-insert after a racing miss).
       shard.bytes -= it->second->bytes;
       it->second->value = std::move(value);

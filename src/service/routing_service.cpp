@@ -301,6 +301,10 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
                                    route_options);
     r.status = result.status;
     r.tracks = result.tracks;
+    if (!result.error.empty()) {
+      r.ok = false;
+      r.error = result.error;
+    }
     r.solve_seconds = result.solve_seconds;
     r.encode_seconds += result.encode_seconds;
     r.cancelled = result.status == sat::SolveResult::kUnknown &&
@@ -557,8 +561,8 @@ std::vector<analysis::CoherenceSample> RoutingService::SampleCoherence(
     sample.fresh_verdict = sat::ToString(fresh.status);
     if (entry.value->status == sat::SolveResult::kSat) {
       sample.tracks_checked = true;
-      sample.tracks_valid =
-          entry.value->graph->IsProperColoring(entry.value->tracks);
+      sample.tracks_valid = entry.value->graph->IsProperColoring(
+          entry.value->tracks, entry.key.width);
     }
     samples.push_back(std::move(sample));
   }

@@ -202,7 +202,7 @@ TEST_P(SinkEquivalenceTest, StreamedEqualsMaterialized) {
   EXPECT_EQ(direct.num_clauses(), materialized.cnf.num_clauses());
   ASSERT_EQ(solver.Solve(), sat::SolveResult::kSat);  // chi(C7^2) <= 4
   const std::vector<int> colors = DecodeColoring(layout, solver.model());
-  EXPECT_TRUE(g.IsProperColoring(colors)) << spec.name;
+  EXPECT_TRUE(g.IsProperColoring(colors, k)) << spec.name;
   for (const int c : colors) {
     EXPECT_GE(c, 0);
     EXPECT_LT(c, k);

@@ -35,7 +35,7 @@ TEST(DsaturTest, ProducesProperColorings) {
   for (int i = 0; i < 30; ++i) {
     const Graph g = testutil::RandomGraph(rng, 20, 0.3);
     const auto colors = DsaturColoring(g);
-    EXPECT_TRUE(g.IsProperColoring(colors));
+    EXPECT_TRUE(g.IsProperColoring(colors, NumColorsUsed(colors)));
   }
 }
 

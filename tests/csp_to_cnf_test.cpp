@@ -42,7 +42,7 @@ TEST(CspToCnfTest, TriangleNeedsThreeColors) {
     std::vector<int> colors;
     EXPECT_EQ(SolveColoring(g, 3, spec, &colors), sat::SolveResult::kSat)
         << spec.name;
-    EXPECT_TRUE(g.IsProperColoring(colors)) << spec.name;
+    EXPECT_TRUE(g.IsProperColoring(colors, 3)) << spec.name;
   }
 }
 
@@ -178,7 +178,7 @@ TEST_P(EncodingEquisatTest, MatchesExactChromaticNumber) {
     std::vector<int> colors;
     EXPECT_EQ(SolveColoring(g, chi, spec, &colors), sat::SolveResult::kSat)
         << "K=chi, iteration " << i;
-    EXPECT_TRUE(g.IsProperColoring(colors));
+    EXPECT_TRUE(g.IsProperColoring(colors, chi));
     for (const int c : colors) {
       EXPECT_GE(c, 0);
       EXPECT_LT(c, chi);
@@ -187,7 +187,7 @@ TEST_P(EncodingEquisatTest, MatchesExactChromaticNumber) {
     EXPECT_EQ(SolveColoring(g, chi + 1, spec, &colors_plus),
               sat::SolveResult::kSat)
         << "K=chi+1, iteration " << i;
-    EXPECT_TRUE(g.IsProperColoring(colors_plus));
+    EXPECT_TRUE(g.IsProperColoring(colors_plus, chi + 1));
   }
 }
 

@@ -44,10 +44,9 @@ TEST(CubeSolverTest, SatisfiableOddCycle) {
       g, 3, encode::GetEncoding("muldirect"), symmetry::Heuristic::kS1,
       Workers(2));
   EXPECT_EQ(result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(result.model_validated);
   EXPECT_TRUE(result.error.empty());
   EXPECT_GE(result.winning_cube, 0);
-  EXPECT_TRUE(g.IsProperColoring(result.colors));
+  EXPECT_TRUE(g.IsProperColoring(result.colors, 3));
 }
 
 TEST(CubeSolverTest, UnsatisfiableOddCycle) {
@@ -92,7 +91,7 @@ TEST(CubeSolverTest, VerdictsMatchExactAcrossEncodingsAndHeuristics) {
           SolveColoringWithCubes(g, chi, spec, heuristic, options);
       EXPECT_EQ(sat_side.status, sat::SolveResult::kSat)
           << name << " K=" << chi;
-      EXPECT_TRUE(sat_side.model_validated) << name;
+      EXPECT_TRUE(sat_side.error.empty()) << name;
       const CubeSolveResult unsat_side =
           SolveColoringWithCubes(g, chi - 1, spec, heuristic, options);
       EXPECT_EQ(unsat_side.status, sat::SolveResult::kUnsat)
@@ -210,7 +209,7 @@ TEST(CubeSolverTest, PoolSolvesConsecutiveBatchesOnResidentSolvers) {
   EXPECT_GE(batch_free.winning_cube, 0);
   const std::vector<int> colors =
       encode::DecodeColoring(layout, batch_free.model);
-  EXPECT_TRUE(g.IsProperColoring(colors));
+  EXPECT_TRUE(g.IsProperColoring(colors, 3));
   EXPECT_GT(pool.MergedStats().propagations, 0u);
 }
 
@@ -236,7 +235,7 @@ TEST(CubeSolverTest, ManyWorkersOnFewCubesStillExact) {
       g, 3, encode::GetEncoding("muldirect"), symmetry::Heuristic::kS1,
       options);
   EXPECT_EQ(result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(result.model_validated);
+  EXPECT_TRUE(result.error.empty());
 }
 
 }  // namespace

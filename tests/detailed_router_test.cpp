@@ -42,6 +42,21 @@ const RoutedBenchmark& NineSymml() {
   return *kBench;
 }
 
+TEST(DetailedRouterTest, OnGraphAnswersCarryNoErrorAndCheckedTracks) {
+  graph::Graph k4(4);
+  for (graph::VertexId u = 0; u < 4; ++u) {
+    for (graph::VertexId v = u + 1; v < 4; ++v) k4.AddEdge(u, v);
+  }
+  const DetailedRouteResult sat_side = RouteDetailedOnGraph(k4, 4);
+  ASSERT_EQ(sat_side.status, sat::SolveResult::kSat);
+  EXPECT_TRUE(sat_side.error.empty()) << sat_side.error;
+  EXPECT_TRUE(k4.IsProperColoring(sat_side.tracks, 4));
+  const DetailedRouteResult unsat_side = RouteDetailedOnGraph(k4, 3);
+  EXPECT_EQ(unsat_side.status, sat::SolveResult::kUnsat);
+  EXPECT_TRUE(unsat_side.error.empty()) << unsat_side.error;
+  EXPECT_TRUE(unsat_side.tracks.empty());
+}
+
 TEST(DetailedRouterTest, SatAtGenerousWidthAndTracksValidate) {
   const RoutedBenchmark& rb = Tiny();
   const graph::Graph conflict = BuildConflictGraph(rb.arch, rb.routing);

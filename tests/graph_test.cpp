@@ -82,19 +82,30 @@ TEST(GraphTest, HasEdgeOutOfRangeIsFalse) {
 }
 
 TEST(GraphTest, ProperColoringCheck) {
-  Graph g(3);  // triangle
+  Graph g(3);  // path 0 - 1 - 2
   g.AddEdge(0, 1);
   g.AddEdge(1, 2);
-  g.AddEdge(0, 2);
-  EXPECT_TRUE(g.IsProperColoring({0, 1, 2}));
-  EXPECT_FALSE(g.IsProperColoring({0, 1, 1}));
-  EXPECT_FALSE(g.IsProperColoring({0, 0, 1}));
-  EXPECT_FALSE(g.IsProperColoring({0, 1}));  // too short
+  const struct {
+    const char* name;
+    std::vector<int> colors;
+    bool proper;
+  } cases[] = {
+      {"too short", {0, 1}, false},
+      {"too long", {0, 1, 0, 1}, false},
+      {"track equal to the width", {0, 2, 0}, false},
+      {"unassigned (-1) entry", {0, 1, -1}, false},
+      {"one improper edge", {0, 1, 1}, false},
+      {"valid", {1, 0, 1}, true},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(g.IsProperColoring(c.colors, /*num_colors=*/2), c.proper)
+        << c.name;
+  }
 }
 
 TEST(GraphTest, ProperColoringOnEdgelessGraph) {
   Graph g(3);
-  EXPECT_TRUE(g.IsProperColoring({0, 0, 0}));
+  EXPECT_TRUE(g.IsProperColoring({0, 0, 0}, 1));
 }
 
 }  // namespace

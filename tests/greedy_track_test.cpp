@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "graph/coloring_bounds.h"
 #include "route/greedy_track_assigner.h"
 #include "test_util.h"
@@ -27,21 +29,50 @@ TEST(GreedyTrackTest, CompleteGraphNeedsNTracks) {
   EXPECT_FALSE(GreedyAssignTracks(g, 4).success);
   const GreedyAssignResult result = GreedyAssignTracks(g, 5);
   EXPECT_TRUE(result.success);
-  EXPECT_TRUE(g.IsProperColoring(result.tracks));
+  EXPECT_TRUE(g.IsProperColoring(result.tracks, 5));
 }
 
 TEST(GreedyTrackTest, SuccessImpliesProperColoring) {
   Rng rng(77001);
+  GreedyAssignOptions with_ripup;
+  with_ripup.max_ripups = 50;
   for (int i = 0; i < 30; ++i) {
     const graph::Graph g = testutil::RandomGraph(rng, 25, 0.3);
-    const int width =
-        graph::NumColorsUsed(graph::DsaturColoring(g)) + 1;
-    const GreedyAssignResult result = GreedyAssignTracks(g, width);
-    if (result.success) {
-      EXPECT_TRUE(g.IsProperColoring(result.tracks));
-      EXPECT_EQ(result.unassigned, 0);
+    const int dsatur = graph::NumColorsUsed(graph::DsaturColoring(g));
+    // Rip-ups run below the DSATUR width too, where they have to evict.
+    for (const auto& [width, options] :
+         {std::pair{dsatur + 1, GreedyAssignOptions{}},
+          std::pair{dsatur, with_ripup}, std::pair{dsatur - 1, with_ripup}}) {
+      const GreedyAssignResult result = GreedyAssignTracks(g, width, options);
+      if (result.success) {
+        EXPECT_TRUE(g.IsProperColoring(result.tracks, width))
+            << "graph " << i << ", width " << width;
+        EXPECT_EQ(result.unassigned, 0);
+      }
     }
   }
+}
+
+TEST(GreedyTrackTest, RipupEvictsEveryHolderOfTheTrack) {
+  // Degrees order the nets x, c, d, a, b, v: x takes track 0, c and d
+  // (x's neighbours) track 1, a and b track 0. v meets both tracks held by
+  // two nets each; clearing track 0 means evicting both a and b.
+  enum : graph::VertexId { x, c, d, a, b, v };
+  graph::Graph g(6);
+  for (const auto& [p, q] :
+       {std::pair{x, c}, {x, d}, {v, a}, {v, b}, {v, c}, {v, d}}) {
+    g.AddEdge(p, q);
+  }
+  for (const auto& [hub, leaves] :
+       {std::pair{x, 5}, {c, 4}, {d, 4}, {a, 4}, {b, 4}}) {
+    for (int i = 0; i < leaves; ++i) g.AddEdge(hub, g.AddVertex());
+  }
+  GreedyAssignOptions options;
+  options.max_ripups = 10;
+  const GreedyAssignResult result = GreedyAssignTracks(g, 2, options);
+  EXPECT_TRUE(result.success);
+  EXPECT_EQ(result.ripups, 2);
+  EXPECT_TRUE(g.IsProperColoring(result.tracks, 2));
 }
 
 TEST(GreedyTrackTest, FailureReportsUnassignedCount) {

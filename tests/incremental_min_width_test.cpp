@@ -97,7 +97,7 @@ TEST(IncrementalMinWidthTest, MatchesExactChromaticNumber) {
         FindMinimumWidthIncremental(g, 1);
     EXPECT_EQ(result.min_width, chi) << "iteration " << i;
     EXPECT_TRUE(result.proven_optimal);
-    EXPECT_TRUE(g.IsProperColoring(result.tracks));
+    EXPECT_TRUE(g.IsProperColoring(result.tracks, result.min_width));
     for (const int track : result.tracks) {
       EXPECT_LT(track, chi);
     }

@@ -82,7 +82,7 @@ TEST(IntegrationTest, DimacsArtifactsRoundTripThroughThePipeline) {
   ASSERT_TRUE(solver.AddCnf(*cnf2));
   ASSERT_EQ(solver.Solve(), sat::SolveResult::kSat);
   const auto colors = encode::DecodeColoring(encoded, solver.model());
-  EXPECT_TRUE(fx.conflict.IsProperColoring(colors));
+  EXPECT_TRUE(fx.conflict.IsProperColoring(colors, width));
 }
 
 TEST(IntegrationTest, UnroutableInstanceAgreesAcrossTable2Encodings) {

@@ -36,7 +36,7 @@ TEST(PortfolioTest, FindsSatAnswer) {
   ASSERT_GE(result.winner, 0);
   ASSERT_LT(result.winner, 3);
   EXPECT_EQ(result.result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(g.IsProperColoring(result.result.tracks));
+  EXPECT_TRUE(g.IsProperColoring(result.result.tracks, width));
   EXPECT_EQ(result.statuses.size(), 3u);
   EXPECT_EQ(result.statuses[static_cast<std::size_t>(result.winner)],
             sat::SolveResult::kSat);
@@ -112,7 +112,7 @@ TEST(PortfolioTest, WalkSatStrategyWinsSatRaces) {
   const PortfolioResult result = RunPortfolio(g, width, strategies, 30.0);
   ASSERT_GE(result.winner, 0);
   EXPECT_EQ(result.result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(g.IsProperColoring(result.result.tracks));
+  EXPECT_TRUE(g.IsProperColoring(result.result.tracks, width));
   EXPECT_NE(strategies[0].DisplayName().find("walksat"),
             std::string::npos);
 }
@@ -212,7 +212,7 @@ TEST(PortfolioTest, CubeMemberWinsRacesWithExactVerdicts) {
   const PortfolioResult sat_side = RunPortfolio(g, chi, strategies);
   ASSERT_EQ(sat_side.winner, 0);
   EXPECT_EQ(sat_side.result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(g.IsProperColoring(sat_side.result.tracks));
+  EXPECT_TRUE(g.IsProperColoring(sat_side.result.tracks, chi));
   if (chi > 1) {
     const PortfolioResult unsat_side = RunPortfolio(g, chi - 1, strategies);
     ASSERT_EQ(unsat_side.winner, 0);

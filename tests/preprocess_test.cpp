@@ -123,7 +123,7 @@ TEST(PreprocessTest, ColoringCnfsShrinkUnderSymmetryUnits) {
     const auto model =
         ReconstructModel(result, simplified_solver.model());
     const auto colors = DecodeColoring(enc, model);
-    EXPECT_TRUE(g.IsProperColoring(colors));
+    EXPECT_TRUE(g.IsProperColoring(colors, k));
   }
 }
 

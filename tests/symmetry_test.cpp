@@ -131,7 +131,7 @@ TEST_P(SymmetrySoundnessTest, PreservesSatisfiability) {
           << " chi=" << chi;
       if (result == sat::SolveResult::kSat) {
         const auto colors = DecodeColoring(enc, solver.model());
-        EXPECT_TRUE(g.IsProperColoring(colors));
+        EXPECT_TRUE(g.IsProperColoring(colors, k));
         // The restriction itself must hold in the decoded coloring.
         for (std::size_t j = 0; j < seq.size(); ++j) {
           EXPECT_LE(colors[static_cast<std::size_t>(seq[j])],

@@ -75,7 +75,7 @@ TEST(WalkSatTest, SolvesRoutableColoringInstances) {
   WalkSat solver(enc.cnf);
   ASSERT_EQ(solver.Solve(Deadline::After(30.0)), SolveResult::kSat);
   const auto colors = DecodeColoring(enc, solver.model());
-  EXPECT_TRUE(g.IsProperColoring(colors));
+  EXPECT_TRUE(g.IsProperColoring(colors, 8));
 }
 
 TEST(WalkSatTest, DeadlineRespected) {

@@ -292,6 +292,13 @@ bool ReportLint(const flow::DetailedRouteResult& result) {
   return errors;
 }
 
+// Prints a failed model check; true when there was one.
+bool ReportError(const std::string& error) {
+  if (error.empty()) return false;
+  std::printf("INTERNAL ERROR: %s\n", error.c_str());
+  return true;
+}
+
 struct LoadedBenchmark {
   fpga::Arch arch{1};
   route::GlobalRouting routing;
@@ -340,7 +347,10 @@ int CmdProve(const CliOptions& opts) {
   mw.route = ToRouteOptions(opts);
   const flow::MinWidthResult result =
       flow::FindMinimumWidthOnGraph(loaded.conflict, loaded.peak, mw);
-  if (ReportLint(result.routable) || ReportLint(result.unroutable)) return 1;
+  if (ReportLint(result.routable) || ReportLint(result.unroutable) ||
+      ReportError(result.error)) {
+    return 1;
+  }
   if (result.min_width < 0) {
     std::printf("TIMEOUT before establishing W*\n");
     return 1;
@@ -396,10 +406,7 @@ int CmdRouteCube(const CliOptions& opts, const LoadedBenchmark& loaded) {
   const cube::CubeSolveResult result = cube::SolveColoringWithCubes(
       loaded.conflict, opts.width, encode::GetEncoding(opts.encoding),
       symmetry::HeuristicFromName(opts.sym), cube_options);
-  if (!result.error.empty()) {
-    std::printf("INTERNAL ERROR: %s\n", result.error.c_str());
-    return 1;
-  }
+  if (ReportError(result.error)) return 1;
   std::printf("%s in %.3fs (%zu cubes: %zu resolved, %zu stolen, "
               "%zu+%zu pruned)\n",
               sat::ToString(result.status), result.wall_seconds,
@@ -453,7 +460,7 @@ int CmdRoute(const CliOptions& opts) {
   if (opts.cube) return CmdRouteCube(opts, loaded);
   const auto result = flow::RouteDetailedOnGraph(loaded.conflict, opts.width,
                                                  ToRouteOptions(opts));
-  if (ReportLint(result)) return 1;
+  if (ReportLint(result) || ReportError(result.error)) return 1;
   std::printf("%s in %.3fs (%d vars, %zu clauses, %llu conflicts)\n",
               sat::ToString(result.status), result.TotalSeconds(),
               result.cnf_vars, result.cnf_clauses,
@@ -561,27 +568,14 @@ int CmdColor(const CliOptions& opts) {
     std::fprintf(stderr, "cannot parse '%s'\n", opts.positional[0].c_str());
     return 2;
   }
-  const auto sequence = symmetry::SymmetrySequence(
-      *g, opts.width, symmetry::HeuristicFromName(opts.sym));
-  const auto enc = encode::EncodeColoring(
-      *g, opts.width, encode::GetEncoding(opts.encoding), sequence);
-  sat::Solver solver(sat::SolverOptions::SiegeLike());
-  sat::SolveResult result = sat::SolveResult::kUnsat;
-  if (solver.AddCnf(enc.cnf)) {
-    result = solver.Solve(Deadline::After(opts.timeout));
+  const auto result =
+      flow::RouteDetailedOnGraph(*g, opts.width, ToRouteOptions(opts));
+  if (ReportLint(result) || ReportError(result.error)) return 1;
+  std::printf("%d-coloring: %s\n", opts.width, sat::ToString(result.status));
+  for (std::size_t v = 0; v < result.tracks.size(); ++v) {
+    std::printf("v%zu %d\n", v + 1, result.tracks[v]);
   }
-  std::printf("%d-coloring: %s\n", opts.width, sat::ToString(result));
-  if (result == sat::SolveResult::kSat) {
-    const auto colors = encode::DecodeColoring(enc, solver.model());
-    if (!g->IsProperColoring(colors)) {
-      std::printf("INTERNAL ERROR: improper coloring decoded\n");
-      return 1;
-    }
-    for (std::size_t v = 0; v < colors.size(); ++v) {
-      std::printf("v%zu %d\n", v + 1, colors[v]);
-    }
-  }
-  return result == sat::SolveResult::kUnknown ? 1 : 0;
+  return result.status == sat::SolveResult::kUnknown ? 1 : 0;
 }
 
 int CmdRouteFile(const CliOptions& opts) {
@@ -636,7 +630,7 @@ int CmdRouteFile(const CliOptions& opts) {
   if (opts.width > 0) {
     const auto result = flow::RouteDetailedOnGraph(conflict, opts.width,
                                                    ToRouteOptions(opts));
-    if (ReportLint(result)) return 1;
+    if (ReportLint(result) || ReportError(result.error)) return 1;
     std::printf("W=%d: %s in %.3fs\n", opts.width,
                 sat::ToString(result.status), result.TotalSeconds());
     return result.status == sat::SolveResult::kUnknown ? 1 : 0;
@@ -644,6 +638,7 @@ int CmdRouteFile(const CliOptions& opts) {
   flow::MinWidthOptions mw;
   mw.route = ToRouteOptions(opts);
   const auto result = flow::FindMinimumWidthOnGraph(conflict, peak, mw);
+  if (ReportError(result.error)) return 1;
   if (result.min_width < 0) {
     std::printf("TIMEOUT before establishing W*\n");
     return 1;
