@@ -5,8 +5,9 @@
 // minimizing peak channel congestion. The router first routes everything on
 // shortest paths, then repeatedly tightens a capacity target and negotiates
 // (rip-up & reroute with growing present-congestion penalties and
-// accumulated history costs) until the target becomes infeasible; the best
-// feasible routing is returned. Fully deterministic.
+// accumulated history costs) until the target becomes infeasible or reaches
+// CapacityLowerBound; the best feasible routing is returned. Fully
+// deterministic.
 #pragma once
 
 #include "fpga/device_graph.h"
@@ -28,6 +29,15 @@ struct GlobalRouterOptions {
   /// Weight of accumulated history costs.
   double history_factor = 0.35;
 };
+
+/// Cut lower bound on the peak distinct-parent congestion of any global
+/// routing of `nets`: the maximum, over rectangles of switch nodes touching
+/// at least two grid borders, of ceil(parents with pins both inside and
+/// outside / segments crossing the rectangle's boundary). Every such parent
+/// has a 2-pin route leaving the rectangle, so no capacity below the bound
+/// is feasible. Independent of the 2-pin decomposition.
+int CapacityLowerBound(const fpga::Arch& arch, const netlist::Netlist& nets,
+                       const netlist::Placement& placement);
 
 GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
                             const netlist::Netlist& nets,

@@ -1,77 +1,10 @@
 #include "route/maze_router.h"
 
-#include <algorithm>
-#include <cassert>
-#include <limits>
-#include <queue>
-
 namespace satfr::route {
-
-std::optional<std::vector<fpga::SegmentIndex>> FindPath(
-    const fpga::DeviceGraph& device, fpga::NodeId from, fpga::NodeId to,
-    const SegmentCostFn& segment_cost) {
-  using fpga::NodeId;
-  using fpga::SegmentIndex;
-  if (from == to) return std::vector<SegmentIndex>{};
-
-  const std::size_t n = static_cast<std::size_t>(device.arch().num_nodes());
-  std::vector<double> best_cost(n, std::numeric_limits<double>::infinity());
-  std::vector<NodeId> came_from(n, fpga::kInvalidNode);
-  std::vector<SegmentIndex> came_via(n, fpga::kInvalidSegment);
-
-  struct Entry {
-    double priority;  // g + h
-    double cost;      // g
-    NodeId node;
-    bool operator>(const Entry& other) const {
-      return priority > other.priority;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> open;
-  best_cost[static_cast<std::size_t>(from)] = 0.0;
-  open.push(Entry{static_cast<double>(device.ManhattanDistance(from, to)),
-                  0.0, from});
-
-  while (!open.empty()) {
-    const Entry current = open.top();
-    open.pop();
-    if (current.node == to) break;
-    if (current.cost >
-        best_cost[static_cast<std::size_t>(current.node)]) {
-      continue;  // stale entry
-    }
-    for (const auto& hop : device.Hops(current.node)) {
-      const double hop_cost = segment_cost(hop.via);
-      assert(hop_cost >= 1.0 && "costs below 1 break the A* heuristic");
-      const double next_cost = current.cost + hop_cost;
-      if (next_cost < best_cost[static_cast<std::size_t>(hop.to)]) {
-        best_cost[static_cast<std::size_t>(hop.to)] = next_cost;
-        came_from[static_cast<std::size_t>(hop.to)] = current.node;
-        came_via[static_cast<std::size_t>(hop.to)] = hop.via;
-        open.push(Entry{
-            next_cost +
-                static_cast<double>(device.ManhattanDistance(hop.to, to)),
-            next_cost, hop.to});
-      }
-    }
-  }
-
-  if (came_from[static_cast<std::size_t>(to)] == fpga::kInvalidNode) {
-    return std::nullopt;
-  }
-  std::vector<SegmentIndex> path;
-  for (NodeId node = to; node != from;
-       node = came_from[static_cast<std::size_t>(node)]) {
-    path.push_back(came_via[static_cast<std::size_t>(node)]);
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
 
 std::optional<std::vector<fpga::SegmentIndex>> FindShortestPath(
     const fpga::DeviceGraph& device, fpga::NodeId from, fpga::NodeId to) {
-  return FindPath(device, from, to,
-                  [](fpga::SegmentIndex) { return 1.0; });
+  return FindPath(device, from, to, [](fpga::SegmentIndex) { return 1.0; });
 }
 
 }  // namespace satfr::route

@@ -82,5 +82,25 @@ TEST(MazeRouterTest, CostTiesStillOptimal) {
   EXPECT_EQ(path->size(), 8u);
 }
 
+TEST(MazeRouterTest, ReusedSearchMatchesFreshSearches) {
+  // One MazeSearch refilled per query must return exactly what a fresh
+  // search returns, whatever the previous query left behind.
+  const Arch arch(6);
+  const DeviceGraph device(arch);
+  MazeSearch search(device);
+  for (int query = 0; query < 40; ++query) {
+    const NodeId from = arch.NodeAt((query * 5) % 7, (query * 3) % 7);
+    const NodeId to = arch.NodeAt((query * 2 + 1) % 7, (query * 11) % 7);
+    const auto cost = [query](SegmentIndex seg) {
+      return 1.0 + 0.5 * ((seg * 37 + query * 11) % 5);
+    };
+    const auto reused = search.FindPath(from, to, cost);
+    const auto fresh = FindPath(device, from, to, cost);
+    ASSERT_TRUE(reused.has_value()) << "query " << query;
+    ASSERT_TRUE(fresh.has_value()) << "query " << query;
+    EXPECT_EQ(*reused, *fresh) << "query " << query;
+  }
+}
+
 }  // namespace
 }  // namespace satfr::route

@@ -256,12 +256,17 @@ TEST(JobScheduler, HigherPriorityRunsFirstOnOneWorker) {
   JobScheduler scheduler(options);
 
   // Hold the single worker on a blocker so the next three jobs are drained
-  // from the inbox together, then released in priority order.
+  // from the inbox together, then released in priority order. They are
+  // submitted only once the blocker runs: a job submitted earlier could be
+  // drained in the blocker's batch and run ahead of the later ones.
+  std::atomic<bool> started{false};
   std::atomic<bool> release{false};
   const auto blocker =
-      scheduler.Submit([&release](const mc::Atomic<bool>&) {
+      scheduler.Submit([&started, &release](const mc::Atomic<bool>&) {
+        started.store(true);
         while (!release.load()) std::this_thread::yield();
       });
+  while (!started.load()) std::this_thread::yield();
   std::mutex order_mutex;
   std::vector<int> order;
   auto record = [&](int tag) {
