@@ -1,7 +1,7 @@
 // E11 — Cube-and-conquer parallel scaling on the unroutable (W = W*-1)
 // MCNC-style configurations: the hard UNSAT proofs the paper's Table 2 is
 // built around, re-run through the cube worker pool at 1/2/4/8 workers
-// with the lock-free clause exchange on.
+// with work stealing on.
 //
 // Each instance is also solved monolithically (same encoding/heuristic/
 // solver preset) as the single-search reference. Verdicts must agree —

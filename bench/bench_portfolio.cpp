@@ -5,11 +5,7 @@
 // additional speedup on an (otherwise idle) multicore CPU; on a machine
 // with fewer cores the threads time-slice and the measured gain shrinks
 // accordingly — the bench prints the hardware parallelism so results can
-// be read in context.
-//
-// A second section measures learnt-clause sharing: a diversified portfolio
-// (identical encoding/symmetry, so every member shares one variable
-// numbering) with the clause exchange off vs. on.
+// be read in context. Members race independently; they share no clauses.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -22,15 +18,6 @@
 int main() {
   using namespace satfr;
   const double timeout = bench::BenchTimeoutSeconds();
-  const std::vector<std::string> names = bench::BenchInstanceNames();
-
-  // The min-width search in LoadInstance is expensive; do it once and share
-  // the instances between the two sections.
-  std::vector<bench::Instance> instances;
-  instances.reserve(names.size());
-  for (const std::string& name : names) {
-    instances.push_back(bench::LoadInstance(name));
-  }
 
   std::printf(
       "== Portfolios on unroutable configurations (W = W*-1) ==\n"
@@ -42,7 +29,8 @@ int main() {
   double total_single = 0.0;
   double total_p2 = 0.0;
   double total_p3 = 0.0;
-  for (const bench::Instance& inst : instances) {
+  for (const std::string& name : bench::BenchInstanceNames()) {
+    const bench::Instance inst = bench::LoadInstance(name);
     const int width = inst.min_width - 1;
     std::printf("%-12s", inst.name.c_str());
     if (width < 1) {
@@ -90,71 +78,5 @@ int main() {
   std::printf(
       "\nPaper reference (dual-core testbed): portfolio-2 1.84x, "
       "portfolio-3 2.30x vs the best\nsingle strategy.\n");
-
-  std::printf(
-      "\n== Learnt-clause sharing (diversified 3-way portfolio, W = W*-1) "
-      "==\n\n");
-  std::printf("%-12s  %14s  %14s  %10s  %10s\n", "benchmark", "sharing off",
-              "sharing on", "exported", "imported");
-  double total_off = 0.0;
-  double total_on = 0.0;
-  std::uint64_t total_dup = 0;
-  std::uint64_t total_blocker_hits = 0;
-  std::uint64_t total_inspections = 0;
-  std::uint64_t total_gc = 0;
-  std::uint64_t total_vivified = 0;
-  for (const bench::Instance& inst : instances) {
-    const int width = inst.min_width - 1;
-    if (width < 1) continue;
-    std::printf("%-12s", inst.name.c_str());
-    const auto strategies = portfolio::DiversifiedPortfolio(3);
-    std::uint64_t exported = 0;
-    std::uint64_t imported = 0;
-    for (const bool share : {false, true}) {
-      portfolio::PortfolioOptions options;
-      options.share_clauses = share;
-      const portfolio::PortfolioResult result = portfolio::RunPortfolio(
-          inst.conflict, width, strategies, timeout, options);
-      const bool timed_out = result.winner < 0;
-      const double seconds = timed_out ? timeout : result.wall_seconds;
-      (share ? total_on : total_off) += seconds;
-      if (share) {
-        for (const sat::SolverStats& stats : result.strategy_stats) {
-          exported += stats.exported_clauses;
-          imported += stats.imported_clauses;
-          total_dup += stats.import_duplicates;
-          total_blocker_hits += stats.blocker_hits;
-          total_inspections += stats.watch_inspections;
-          total_gc += stats.gc_runs;
-          total_vivified += stats.clauses_vivified;
-        }
-      }
-      std::printf("  %14s", bench::TimeCell(seconds, timed_out).c_str());
-      std::fflush(stdout);
-    }
-    std::printf("  %10llu  %10llu\n",
-                static_cast<unsigned long long>(exported),
-                static_cast<unsigned long long>(imported));
-  }
-  std::printf("%-12s  %14s  %14s\n", "Total",
-              FormatSecondsPaperStyle(total_off).c_str(),
-              FormatSecondsPaperStyle(total_on).c_str());
-  if (total_on > 0.0) {
-    std::printf("sharing speedup: %.2fx\n", total_off / total_on);
-  }
-  // Aggregate solver-internals for the sharing-on runs: how often the
-  // blocking literal short-circuits a watch inspection, how much arena GC
-  // and inprocessing ran, and how many re-offered clauses the literal-hash
-  // dedup caught (nonzero whenever members exchange overlapping learnts).
-  if (total_inspections > 0) {
-    std::printf("solver internals (sharing on): blocker hit rate %.1f%%, "
-                "%llu gc runs, %llu clauses vivified, %llu duplicate "
-                "imports dropped\n",
-                100.0 * static_cast<double>(total_blocker_hits) /
-                    static_cast<double>(total_inspections),
-                static_cast<unsigned long long>(total_gc),
-                static_cast<unsigned long long>(total_vivified),
-                static_cast<unsigned long long>(total_dup));
-  }
   return 0;
 }

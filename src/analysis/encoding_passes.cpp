@@ -502,9 +502,8 @@ class ConflictEdgesPass final : public AnalysisPass {
 };
 
 // ---------------------------------------------------------------------------
-// encoding-symmetry-prefix: the b1/s1 sequence is legal, its restriction
-// clauses are all present, and it perturbs the NumberingKey (clause-sharing
-// soundness).
+// encoding-symmetry-prefix: the b1/s1 sequence is legal and its
+// restriction clauses are all present.
 // ---------------------------------------------------------------------------
 class SymmetryPrefixPass final : public AnalysisPass {
  public:
@@ -512,7 +511,7 @@ class SymmetryPrefixPass final : public AnalysisPass {
     return "encoding-symmetry-prefix";
   }
   std::string_view description() const override {
-    return "symmetry sequence legality, restriction clauses, NumberingKey";
+    return "symmetry sequence legality, restriction clauses";
   }
   bool Applicable(const AnalysisInput& input) const override {
     return input.HasEncoding() && input.symmetry_sequence != nullptr;
@@ -565,21 +564,6 @@ class SymmetryPrefixPass final : public AnalysisPass {
                           std::to_string(d));
         }
       }
-    }
-
-    // Clause-sharing soundness: the sequence must perturb the key, else
-    // learnt clauses could leak between differently-restricted formulas.
-    const std::uint64_t full = encode::NumberingKey(enc.domain, k, seq);
-    if (full == encode::NumberingKey(enc.domain, k, {})) {
-      sink.Report("NumberingKey",
-                  "key ignores the symmetry sequence; clause sharing would "
-                  "mix incompatible restrictions");
-    }
-    const std::vector<graph::VertexId> prefix(seq.begin(), seq.end() - 1);
-    if (full == encode::NumberingKey(enc.domain, k, prefix)) {
-      sink.Report("NumberingKey",
-                  "key unchanged when the last sequence vertex is dropped; "
-                  "different sequences must fingerprint differently");
     }
   }
 };
@@ -680,13 +664,6 @@ class SinkEquivalencePass final : public AnalysisPass {
       sink.Report("vertex_offset",
                   "streamed layout numbers vertex blocks differently from "
                   "the materialized encoding");
-    }
-    if (encode::NumberingKey(layout.domain, layout.num_colors, seq) !=
-        encode::NumberingKey(enc.domain, enc.num_colors, seq)) {
-      sink.Report("NumberingKey",
-                  "streamed layout fingerprints differently from the "
-                  "materialized encoding; clause sharing would treat equal "
-                  "formulas as incompatible");
     }
     const std::uint64_t expected_total = encode::ExpectedColoringClauses(
         *input.conflict_graph, enc.domain, enc.num_colors, seq.size());

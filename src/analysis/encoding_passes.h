@@ -30,7 +30,7 @@ ExpectedDomainShape ComputeExpectedDomainShape(
 ///   encoding-domain-semantics (error) every assignment selects >= 1 value
 ///   encoding-vertex-structure (error) per-vertex structural instantiation
 ///   encoding-conflict-edges   (error) conflict clauses <-> graph edges
-///   encoding-symmetry-prefix  (error) b1/s1 prefix legality + NumberingKey
+///   encoding-symmetry-prefix  (error) b1/s1 prefix legality + restrictions
 ///   encoding-sink-equivalence (error) streamed emission == materialized Cnf
 void AddEncodingPasses(AnalysisRunner& runner);
 

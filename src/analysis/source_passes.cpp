@@ -18,8 +18,7 @@ namespace {
 bool InModelCheckedScope(const std::string& path) {
   if (path.find("src/mc/") != std::string::npos) return false;
   return path.find("src/cube/") != std::string::npos ||
-         path.find("src/obs/") != std::string::npos ||
-         path.find("src/sat/clause_exchange") != std::string::npos;
+         path.find("src/obs/") != std::string::npos;
 }
 
 // Raw primitives the shim replaces. `std::memory_order*` is deliberately

@@ -3,7 +3,7 @@
 //
 // Unlike the artifact passes, these inspect code, not CNF — the first
 // client is the concurrency toolkit: every atomic, fence, and mutex in the
-// lock-free layers (src/cube, src/obs, src/sat/clause_exchange.*) must go
+// lock-free layers (src/cube, src/obs) must go
 // through the mc:: shim so the model checker in src/mc can see it. A raw
 // std::atomic in those files is invisible to schedule exploration and
 // therefore unverified — exactly the regression this pass exists to catch.

@@ -82,63 +82,10 @@ class TelemetryConsistencyPass : public AnalysisPass {
   }
 };
 
-// Checks the clause-exchange reader ledger on every record: each cursor
-// step Collect takes is classified exactly once (imported, torn, self,
-// incompatible, or evicted), so the classifications must sum back to the
-// distance traveled. The counters come straight from ClauseExchange's
-// relaxed atomics folded at a quiescent point (see Totals in
-// sat/clause_exchange.h); a miss here means a Collect path learned a new
-// way to skip a ticket without accounting for it — the lock-free
-// equivalent of dropping a clause on the floor silently.
-class ExchangeConservationPass : public AnalysisPass {
- public:
-  std::string_view name() const override { return "exchange-conservation"; }
-  std::string_view description() const override {
-    return "clause-exchange cursor steps equal the sum of their "
-           "classifications";
-  }
-
-  bool Applicable(const AnalysisInput& input) const override {
-    return input.run_records != nullptr;
-  }
-
-  void Run(const AnalysisInput& input, DiagnosticSink& sink) const override {
-    for (std::size_t i = 0; i < input.run_records->size(); ++i) {
-      const obs::RunRecord& r = (*input.run_records)[i];
-      const std::uint64_t classified =
-          r.exchange_imported + r.exchange_torn_reads +
-          r.exchange_self_skipped + r.exchange_incompatible_skipped +
-          r.exchange_eviction_skipped;
-      if (r.exchange_cursor_advanced != classified) {
-        sink.Report(RecordLocation(r, i),
-                    "exchange ledger: cursor advanced " +
-                        std::to_string(r.exchange_cursor_advanced) +
-                        " tickets but " + std::to_string(classified) +
-                        " classified (imported " +
-                        std::to_string(r.exchange_imported) + " + torn " +
-                        std::to_string(r.exchange_torn_reads) + " + self " +
-                        std::to_string(r.exchange_self_skipped) +
-                        " + incompatible " +
-                        std::to_string(r.exchange_incompatible_skipped) +
-                        " + evicted " +
-                        std::to_string(r.exchange_eviction_skipped) + ")");
-      }
-      // A collected clause must have been published by somebody.
-      if (r.exchange_imported > 0 && r.exchange_exported == 0) {
-        sink.Report(RecordLocation(r, i),
-                    "exchange ledger: " +
-                        std::to_string(r.exchange_imported) +
-                        " clause(s) imported but none exported");
-      }
-    }
-  }
-};
-
 }  // namespace
 
 void AddTelemetryPasses(AnalysisRunner& runner) {
   runner.AddPass(std::make_unique<TelemetryConsistencyPass>());
-  runner.AddPass(std::make_unique<ExchangeConservationPass>());
 }
 
 }  // namespace satfr::analysis

@@ -17,9 +17,6 @@ namespace satfr::analysis {
 ///   telemetry-consistency (error) observed counter totals vs. the
 ///                                 solver-window stats, LBD-histogram mass
 ///                                 vs. learned count, verdict vocabulary
-///   exchange-conservation (error) clause-exchange reader ledger: cursor
-///                                 steps == imported + torn + self +
-///                                 incompatible + evicted
 void AddTelemetryPasses(AnalysisRunner& runner);
 
 }  // namespace satfr::analysis

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 
@@ -93,6 +94,26 @@ std::string FormatSecondsPaperStyle(double seconds) {
     return FormatWithCommas(std::round(seconds), 0);
   }
   return FormatWithCommas(seconds, 2);
+}
+
+std::optional<int> ParseInt(std::string_view text, int min_value) {
+  int value = 0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < min_value) {
+    return std::nullopt;
+  }
+  return value;
+}
+
+std::optional<double> ParseDouble(std::string_view text) {
+  double value = 0.0;
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 }  // namespace satfr

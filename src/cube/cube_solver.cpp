@@ -19,33 +19,19 @@ namespace satfr::cube {
 
 CubeWorkerPool::CubeWorkerPool(
     const sat::SolverOptions& solver_options, const CubePoolOptions& options,
-    std::uint64_t numbering_key,
     const std::function<bool(int, sat::Solver&)>& setup)
     : options_(options) {
   const int n = std::max(1, options.num_workers);
-  const bool share =
-      options.share_clauses && !options.deterministic && n > 1;
-  if (share) {
-    exchange_.reset(new sat::ClauseExchange(options.exchange_capacity));
-  }
-  workers_.resize(static_cast<std::size_t>(n));
   for (int w = 0; w < n; ++w) {
     sat::SolverOptions per_worker = solver_options;
-    per_worker.share_max_lbd = options.share_max_lbd;
     if (w > 0) {
       // Decorrelate the random decisions/polarities so workers that steal
       // into the same region don't retrace each other's searches.
       per_worker.seed = solver_options.seed +
                         0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(w);
     }
-    Worker& worker = workers_[static_cast<std::size_t>(w)];
-    worker.solver.reset(new sat::Solver(per_worker));
-    if (!setup(w, *worker.solver)) ok_ = false;
-    if (share) {
-      worker.participant =
-          exchange_->Register(numbering_key, numbering_key);
-      worker.solver->SetClauseExchange(exchange_.get(), worker.participant);
-    }
+    workers_.push_back(std::make_unique<sat::Solver>(per_worker));
+    if (!setup(w, *workers_.back())) ok_ = false;
   }
 }
 
@@ -136,7 +122,7 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
   };
 
   const auto run_worker = [&](int w) {
-    sat::Solver& solver = *workers_[static_cast<std::size_t>(w)].solver;
+    sat::Solver& solver = *workers_[static_cast<std::size_t>(w)];
     WorkerLoad& load = out.worker_loads[static_cast<std::size_t>(w)];
     const std::uint64_t tid = obs::TraceWriter::CurrentTid();
     if (trace != nullptr) {
@@ -270,12 +256,8 @@ sat::SolverStats CubeWorkerPool::MergedStats() const {
   // added tomorrow is merged here without another hand-written line.
   // Summed solve_seconds is aggregate CPU seconds, not wall clock.
   sat::SolverStats merged;
-  for (const Worker& w : workers_) merged.Accumulate(w.solver->stats());
+  for (const auto& w : workers_) merged.Accumulate(w->stats());
   return merged;
-}
-
-sat::ClauseExchange::Totals CubeWorkerPool::exchange_totals() const {
-  return exchange_ ? exchange_->totals() : sat::ClauseExchange::Totals{};
 }
 
 CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
@@ -297,8 +279,6 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
       symmetry::SymmetrySequence(g, num_colors, heuristic);
   const encode::DomainEncoding domain =
       encode::EncodeDomain(encoding, num_colors);
-  const std::uint64_t key =
-      encode::NumberingKey(domain, num_colors, sequence);
 
   // Every worker loads the identical formula; worker 0's layout serves all
   // of them for decoding (same encoding + sequence => same numbering).
@@ -310,7 +290,7 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
     if (w == 0) layout = std::move(built);
     return sink.Finish();
   };
-  CubeWorkerPool pool(options.solver, options.pool, key, setup);
+  CubeWorkerPool pool(options.solver, options.pool, setup);
 
   const CubeSet cube_set =
       GenerateCubes(g, domain, num_colors, sequence, options.gen);
@@ -342,7 +322,6 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
     }
   }
   result.solver_stats = pool.MergedStats();
-  result.exchange_totals = pool.exchange_totals();
   result.wall_seconds = stopwatch.Seconds();
   solve_span.AddArg("verdict", obs::JsonValue(sat::ToString(result.status)));
   solve_span.AddArg("cubes",
@@ -371,15 +350,6 @@ CubeSolveResult SolveColoringWithCubes(const graph::Graph& g, int num_colors,
     record.SetSolverWindow(window);
     record.cubes = static_cast<std::uint64_t>(result.num_cubes);
     record.cubes_stolen = static_cast<std::uint64_t>(result.cubes_stolen);
-    const sat::ClauseExchange::Totals& ex = result.exchange_totals;
-    record.exchange_exported = ex.published;
-    record.exchange_imported = ex.collected;
-    record.exchange_dropped_full = ex.evicted + ex.oversize_dropped;
-    record.exchange_torn_reads = ex.torn_reads;
-    record.exchange_cursor_advanced = ex.cursor_advanced;
-    record.exchange_self_skipped = ex.self_skipped;
-    record.exchange_incompatible_skipped = ex.incompatible_skipped;
-    record.exchange_eviction_skipped = ex.eviction_skipped;
     if (batch.has_observed) {
       record.has_observed = true;
       record.observed_propagations = batch.observed.propagations;

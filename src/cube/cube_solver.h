@@ -9,11 +9,7 @@
 // solver — learnt clauses, VSIDS activities, phase saving, and learnt-tier
 // state persist across cubes and across batches, which is where the
 // approach beats fork-per-cube designs: each refuted cube strengthens the
-// solver that will refute the next one. Workers optionally share unit and
-// low-LBD learnts through the lock-free ClauseExchange (sound because
-// learnt clauses are derived by resolution from formula clauses only —
-// assumptions never act as axioms — so every learnt is formula-implied and
-// valid in every other worker with the same variable numbering).
+// solver that will refute the next one. Workers share no clauses.
 //
 // Verdict aggregation is exact:
 //   * any cube SAT            => kSat with that worker's model (callers
@@ -29,9 +25,9 @@
 //                                kUnsat too);
 //   * otherwise               => kUnknown (deadline or external stop).
 //
-// Deterministic mode pins each worker's cube order (no stealing) and
-// disables clause sharing, so a single-worker run visits cubes in exactly
-// the generator's order with a bit-reproducible search.
+// Deterministic mode pins each worker's cube order (no stealing), so a
+// single-worker run visits cubes in exactly the generator's order with a
+// bit-reproducible search.
 #ifndef SATFR_CUBE_CUBE_SOLVER_H_
 #define SATFR_CUBE_CUBE_SOLVER_H_
 
@@ -47,7 +43,6 @@
 #include "mc/shim.h"
 #include "encode/registry.h"
 #include "graph/graph.h"
-#include "sat/clause_exchange.h"
 #include "sat/solver.h"
 #include "symmetry/symmetry.h"
 
@@ -55,15 +50,9 @@ namespace satfr::cube {
 
 struct CubePoolOptions {
   int num_workers = 1;
-  /// Pin per-worker cube order: no stealing, no clause sharing. With one
-  /// worker the whole run is bit-reproducible and visits cubes in
-  /// generator order.
+  /// Pin per-worker cube order: no stealing. With one worker the whole run
+  /// is bit-reproducible and visits cubes in generator order.
   bool deterministic = false;
-  /// Exchange unit/low-LBD learnts between workers (ignored when
-  /// deterministic or single-worker).
-  bool share_clauses = true;
-  std::uint32_t share_max_lbd = 2;
-  std::size_t exchange_capacity = sat::ClauseExchange::kDefaultCapacity;
 };
 
 class CubeWorkerPool {
@@ -73,11 +62,9 @@ class CubeWorkerPool {
   /// formula was refuted while loading (e.g. SolverSink::Finish failed);
   /// the pool records it and every SolveBatch reports kUnsat/refuted.
   /// Worker 0 uses `solver_options` verbatim; workers 1..N-1 get decorrelated
-  /// seeds (same search parameters otherwise). `numbering_key` is the
-  /// encode::NumberingKey of the loaded formula, used to register workers
-  /// with the clause exchange; pass 0 when sharing is off.
+  /// seeds (same search parameters otherwise).
   CubeWorkerPool(const sat::SolverOptions& solver_options,
-                 const CubePoolOptions& options, std::uint64_t numbering_key,
+                 const CubePoolOptions& options,
                  const std::function<bool(int, sat::Solver&)>& setup);
   ~CubeWorkerPool();
 
@@ -131,18 +118,10 @@ class CubeWorkerPool {
   bool okay() const { return ok_; }
   /// Counter sums over all resident solvers (cumulative across batches).
   sat::SolverStats MergedStats() const;
-  /// All-zero when sharing is disabled.
-  sat::ClauseExchange::Totals exchange_totals() const;
 
  private:
-  struct Worker {
-    std::unique_ptr<sat::Solver> solver;
-    int participant = -1;
-  };
-
   const CubePoolOptions options_;
-  std::vector<Worker> workers_;
-  std::unique_ptr<sat::ClauseExchange> exchange_;
+  std::vector<std::unique_ptr<sat::Solver>> workers_;
   bool ok_ = true;
 };
 
@@ -175,7 +154,6 @@ struct CubeSolveResult {
   int winning_cube = -1;
   /// Counter sums over all workers.
   sat::SolverStats solver_stats;
-  sat::ClauseExchange::Totals exchange_totals;
   /// Per-worker busy/steal figures (see CubeWorkerPool::WorkerLoad).
   std::vector<CubeWorkerPool::WorkerLoad> worker_loads;
   double wall_seconds = 0.0;

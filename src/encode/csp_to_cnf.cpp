@@ -200,31 +200,6 @@ EncodedColoring EncodeColoring(
   return out;
 }
 
-std::uint64_t NumberingKey(
-    const DomainEncoding& domain, int num_colors,
-    const std::vector<graph::VertexId>& symmetry_sequence) {
-  // FNV-1a over every ingredient that shapes variable meaning. Separators
-  // between sections keep e.g. a cube boundary shift from colliding.
-  std::uint64_t h = 1469598103934665603ull;
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value;
-    h *= 1099511628211ull;
-  };
-  mix(static_cast<std::uint64_t>(num_colors));
-  mix(static_cast<std::uint64_t>(domain.num_vars));
-  for (const Cube& cube : domain.value_cubes) {
-    mix(0xC0DEull);  // cube separator
-    for (const sat::Lit l : cube) {
-      mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(l.code())));
-    }
-  }
-  mix(0x5E9ull);  // sequence separator
-  for (const graph::VertexId v : symmetry_sequence) {
-    mix(static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-  }
-  return h;
-}
-
 std::vector<int> DecodeColoring(const ColoringLayout& layout,
                                 const std::vector<bool>& model) {
   std::vector<int> colors(layout.vertex_offset.size(), -1);

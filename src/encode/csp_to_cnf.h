@@ -139,20 +139,6 @@ std::uint64_t ExpectedColoringClauses(const graph::Graph& g,
                                       int num_colors,
                                       std::size_t symmetry_sequence_size);
 
-/// Fingerprint of the CSP-variable -> SAT-variable numbering produced by
-/// EncodeColoring: covers the color count, the per-vertex indexing-block
-/// width, every value cube, and the symmetry-breaking sequence. Two encoded
-/// instances with equal keys assign identical meaning to every SAT variable
-/// AND impose identical symmetry restrictions, so learnt clauses derived
-/// from one formula are satisfiability-preserving additions to the other
-/// (used by the portfolio's clause exchange; see sat/clause_exchange.h).
-/// Different symmetry sequences MUST yield different keys: clauses learnt
-/// under one symmetry restriction are not implied consequences under
-/// another, and mixing them can turn a colorable instance UNSAT.
-std::uint64_t NumberingKey(
-    const DomainEncoding& domain, int num_colors,
-    const std::vector<graph::VertexId>& symmetry_sequence);
-
 /// Extracts the color of every vertex from a SAT model of the encoded
 /// formula. Works for both the materialized (EncodedColoring) and streamed
 /// (ColoringLayout) paths — decoding needs only the layout. Entries are in

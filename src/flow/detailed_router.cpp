@@ -51,9 +51,6 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                  options.heuristic, num_tracks);
   std::vector<sat::Clause> proof;
   if (options.verify_unsat_proof) solver.SetProofLog(&proof);
-  if (options.exchange != nullptr && options.exchange_participant >= 0) {
-    solver.SetClauseExchange(options.exchange, options.exchange_participant);
-  }
 
   // Everyone except the materialized paths streams the encoder straight into
   // the solver and never holds an intermediate Cnf — unless a cached

@@ -35,12 +35,6 @@ struct DetailedRouteOptions {
   /// independent RUP checker (see DetailedRouteResult::proof_verified).
   /// Costs memory proportional to the clauses learned.
   bool verify_unsat_proof = false;
-  /// Optional learnt-clause exchange (portfolio sharing). When set, the
-  /// solver exports unit/low-LBD learnts to it and imports compatible
-  /// clauses at restart boundaries. `exchange_participant` must be the id
-  /// returned by exchange->Register for THIS strategy's numbering key.
-  sat::ClauseExchange* exchange = nullptr;
-  int exchange_participant = -1;
   /// Run the satlint analysis pipeline over the conflict graph and the
   /// encoded CNF before solving. Findings land in
   /// DetailedRouteResult::lint; any error-severity finding aborts the run

@@ -64,8 +64,7 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
   span.AddArg("max_width", obs::JsonValue(max_width_));
 
   // Base layout first, then the width-ladder guards, then (only) activation
-  // variables — the fixed region order that keeps the exchange's
-  // NumberingKey valid however many selectors the deltas allocate later.
+  // variables, however many selectors the deltas allocate later.
   layout_ = encode::MakeColoringLayout(conflict_graph, max_width_,
                                        options_.encoding);
   grouped_->EnsureVars(layout_.num_vars);

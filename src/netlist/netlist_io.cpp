@@ -91,11 +91,12 @@ std::optional<PlacedNetlist> ParsePlacedNetlist(std::istream& in,
         Fail(error, "malformed grid line" + where);
         return std::nullopt;
       }
-      grid = std::atoi(tokens[1].c_str());
-      if (grid < 1) {
-        Fail(error, "grid size must be >= 1" + where);
+      const std::optional<int> size = ParseInt(tokens[1], 1);
+      if (!size) {
+        Fail(error, "grid size must be an integer >= 1" + where);
         return std::nullopt;
       }
+      grid = *size;
     } else if (tokens[0] == "block") {
       if (grid < 1) {
         Fail(error, "block before grid" + where);
@@ -109,14 +110,18 @@ std::optional<PlacedNetlist> ParsePlacedNetlist(std::istream& in,
         Fail(error, "duplicate block '" + tokens[1] + "'" + where);
         return std::nullopt;
       }
-      const int x = std::atoi(tokens[2].c_str());
-      const int y = std::atoi(tokens[3].c_str());
-      if (x < 0 || y < 0 || x >= grid || y >= grid) {
+      const std::optional<int> x = ParseInt(tokens[2]);
+      const std::optional<int> y = ParseInt(tokens[3]);
+      if (!x || !y) {
+        Fail(error, "block site is not an integer pair" + where);
+        return std::nullopt;
+      }
+      if (*x < 0 || *y < 0 || *x >= grid || *y >= grid) {
         Fail(error, "block site off-grid" + where);
         return std::nullopt;
       }
       block_by_name[tokens[1]] = nets.AddBlock(tokens[1]);
-      sites.push_back(fpga::Coord{x, y});
+      sites.push_back(fpga::Coord{*x, *y});
     } else if (tokens[0] == "net") {
       if (tokens.size() < 4) {
         Fail(error, "net needs a name, a source and >= 1 sink" + where);

@@ -87,18 +87,6 @@ JsonValue RunRecord::ToJson() const {
   JsonObject cube;
   cube.emplace_back("cubes", JsonValue(cubes));
   cube.emplace_back("stolen", JsonValue(cubes_stolen));
-  JsonObject exchange;
-  exchange.emplace_back("exported", JsonValue(exchange_exported));
-  exchange.emplace_back("imported", JsonValue(exchange_imported));
-  exchange.emplace_back("dropped_full", JsonValue(exchange_dropped_full));
-  exchange.emplace_back("torn_reads", JsonValue(exchange_torn_reads));
-  exchange.emplace_back("cursor_advanced", JsonValue(exchange_cursor_advanced));
-  exchange.emplace_back("self_skipped", JsonValue(exchange_self_skipped));
-  exchange.emplace_back("incompatible_skipped",
-                        JsonValue(exchange_incompatible_skipped));
-  exchange.emplace_back("eviction_skipped",
-                        JsonValue(exchange_eviction_skipped));
-  cube.emplace_back("exchange", JsonValue(std::move(exchange)));
   o.emplace_back("cube", JsonValue(std::move(cube)));
 
   if (has_observed) {
@@ -165,17 +153,6 @@ bool RunRecord::FromJson(const JsonValue& value, RunRecord* record,
   if (const JsonValue* cube = value.Find("cube")) {
     r.cubes = GetU64(*cube, "cubes");
     r.cubes_stolen = GetU64(*cube, "stolen");
-    if (const JsonValue* exchange = cube->Find("exchange")) {
-      r.exchange_exported = GetU64(*exchange, "exported");
-      r.exchange_imported = GetU64(*exchange, "imported");
-      r.exchange_dropped_full = GetU64(*exchange, "dropped_full");
-      r.exchange_torn_reads = GetU64(*exchange, "torn_reads");
-      r.exchange_cursor_advanced = GetU64(*exchange, "cursor_advanced");
-      r.exchange_self_skipped = GetU64(*exchange, "self_skipped");
-      r.exchange_incompatible_skipped =
-          GetU64(*exchange, "incompatible_skipped");
-      r.exchange_eviction_skipped = GetU64(*exchange, "eviction_skipped");
-    }
   }
   if (const JsonValue* observed = value.Find("observed")) {
     r.has_observed = true;

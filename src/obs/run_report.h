@@ -6,7 +6,7 @@
 // carries the verdict, stage timings, the solver-window stats (propagations
 // / conflicts / restarts / learned over exactly the window this record
 // covers), learnt-DB tier sizes, the LBD histogram, peak clause memory, and
-// cube/exchange counters where applicable.
+// cube counters where applicable.
 //
 // Records additionally carry an `observed` block when a SolverTelemetryObserver
 // was attached: counter totals accumulated restart-by-restart through the
@@ -76,23 +76,9 @@ struct RunRecord {
   std::uint64_t deltas_applied = 0;
   std::uint64_t groups_retired = 0;
 
-  // ---- cube / exchange (zero unless the cube pool or portfolio ran) ----
+  // ---- cube (zero unless the cube pool ran) ----
   std::uint64_t cubes = 0;
   std::uint64_t cubes_stolen = 0;
-  std::uint64_t exchange_exported = 0;
-  std::uint64_t exchange_imported = 0;
-  std::uint64_t exchange_dropped_full = 0;
-  std::uint64_t exchange_torn_reads = 0;
-  // Reader-side conservation ledger (ClauseExchange::Totals). The satlint
-  // exchange-conservation pass asserts
-  //   exchange_cursor_advanced == exchange_imported + exchange_torn_reads
-  //       + exchange_self_skipped + exchange_incompatible_skipped
-  //       + exchange_eviction_skipped
-  // on every record that carries exchange traffic.
-  std::uint64_t exchange_cursor_advanced = 0;
-  std::uint64_t exchange_self_skipped = 0;
-  std::uint64_t exchange_incompatible_skipped = 0;
-  std::uint64_t exchange_eviction_skipped = 0;
 
   // ---- observer cross-check (present iff an observer was attached) ----
   bool has_observed = false;

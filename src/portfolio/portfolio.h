@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "flow/detailed_router.h"
-#include "sat/clause_exchange.h"
 
 namespace satfr::portfolio {
 
@@ -23,13 +22,6 @@ struct Strategy {
   /// can win SAT races but never returns UNSAT, so a portfolio aimed at
   /// unroutability proofs must also contain a CDCL member.
   bool use_walksat = false;
-  /// Run cube-and-conquer (src/cube) with this many workers instead of a
-  /// single CDCL search. Complete (exact SAT and UNSAT verdicts). A cube
-  /// member shares clauses internally between its own workers but does not
-  /// join the portfolio-level exchange: an exchange participant is one
-  /// solver with one read cursor, and a pool is many solvers — the pool
-  /// runs its own exchange instead.
-  int cube_workers = 0;
 
   /// "encoding/heuristic" label for tables.
   std::string DisplayName() const;
@@ -43,21 +35,7 @@ std::vector<Strategy> PaperPortfolio2();
 /// ITE-linear-2+direct/s1.
 std::vector<Strategy> PaperPortfolio3();
 
-/// `n` copies of the paper's best single strategy
-/// (ITE-linear-2+muldirect/s1) diversified by solver preset and seed.
-/// Member 0 is the unmodified default. Because every member uses the same
-/// encoding and symmetry heuristic, all of them share one variable
-/// numbering — the configuration where clause sharing bites hardest.
-std::vector<Strategy> DiversifiedPortfolio(int n);
-
 struct PortfolioOptions {
-  /// Exchange unit/low-LBD learnt clauses between CDCL strategies whose
-  /// variable numberings are compatible (see encode::NumberingKey).
-  bool share_clauses = false;
-  /// Learnts with LBD <= this are exported (units always are).
-  std::uint32_t share_max_lbd = 2;
-  /// Bound on the exchange buffer (clauses); oldest entries are evicted.
-  std::size_t exchange_capacity = sat::ClauseExchange::kDefaultCapacity;
   /// Telemetry label (trace spans / run-report records); empty is fine.
   std::string run_label;
 };
@@ -72,11 +50,8 @@ struct PortfolioResult {
   double wall_seconds = 0.0;
   /// Per-strategy status, for reporting.
   std::vector<sat::SolveResult> statuses;
-  /// Per-strategy solver stats (export/import counters; empty entries for
-  /// WalkSAT strategies).
+  /// Per-strategy solver stats (empty entries for WalkSAT strategies).
   std::vector<sat::SolverStats> strategy_stats;
-  /// Exchange traffic totals (all zero when sharing was disabled).
-  sat::ClauseExchange::Totals exchange_totals;
 };
 
 /// Runs all strategies in parallel on the K-coloring of `conflict_graph`.

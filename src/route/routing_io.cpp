@@ -1,6 +1,5 @@
 #include "route/routing_io.h"
 
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -17,26 +16,27 @@ bool Fail(std::string* error, const std::string& message) {
 
 // Parses "H(x,y)" / "V(x,y)" back into a segment index.
 std::optional<fpga::SegmentIndex> ParseSegmentName(const fpga::Arch& arch,
-                                                   const std::string& token) {
-  char kind = 0;
-  int x = -1;
-  int y = -1;
-  if (std::sscanf(token.c_str(), "%c(%d,%d)", &kind, &x, &y) != 3) {
+                                                   std::string_view token) {
+  const std::size_t comma = token.find(',');
+  if (token.size() < 6 || token[1] != '(' || token.back() != ')' ||
+      comma == std::string_view::npos) {
     return std::nullopt;
   }
-  if (kind == 'H') {
-    if (x < 0 || x >= arch.grid_size() || y < 0 ||
-        y >= arch.nodes_per_side()) {
+  const std::optional<int> x = ParseInt(token.substr(2, comma - 2), 0);
+  const std::optional<int> y =
+      ParseInt(token.substr(comma + 1, token.size() - comma - 2), 0);
+  if (!x || !y) return std::nullopt;
+  if (token[0] == 'H') {
+    if (*x >= arch.grid_size() || *y >= arch.nodes_per_side()) {
       return std::nullopt;
     }
-    return arch.HorizontalSegment(x, y);
+    return arch.HorizontalSegment(*x, *y);
   }
-  if (kind == 'V') {
-    if (x < 0 || x >= arch.nodes_per_side() || y < 0 ||
-        y >= arch.grid_size()) {
+  if (token[0] == 'V') {
+    if (*x >= arch.nodes_per_side() || *y >= arch.grid_size()) {
       return std::nullopt;
     }
-    return arch.VerticalSegment(x, y);
+    return arch.VerticalSegment(*x, *y);
   }
   return std::nullopt;
 }
@@ -94,11 +94,12 @@ std::optional<ParsedRouting> ParseGlobalRouting(std::istream& in,
         Fail(error, "malformed grid line" + where);
         return std::nullopt;
       }
-      parsed.grid_size = std::atoi(tokens[1].c_str());
-      if (parsed.grid_size < 1) {
-        Fail(error, "grid size must be >= 1" + where);
+      const std::optional<int> size = ParseInt(tokens[1], 1);
+      if (!size) {
+        Fail(error, "grid size must be an integer >= 1" + where);
         return std::nullopt;
       }
+      parsed.grid_size = *size;
       arch.emplace(parsed.grid_size);
     } else if (tokens[0] == "route") {
       if (!arch) {
@@ -109,10 +110,17 @@ std::optional<ParsedRouting> ParseGlobalRouting(std::istream& in,
         Fail(error, "malformed route line" + where);
         return std::nullopt;
       }
+      const std::optional<int> parent = ParseInt(tokens[1]);
+      const std::optional<int> source = ParseInt(tokens[2]);
+      const std::optional<int> sink = ParseInt(tokens[3]);
+      if (!parent || !source || !sink) {
+        Fail(error, "route parent/source/sink is not an integer" + where);
+        return std::nullopt;
+      }
       TwoPinNet net;
-      net.parent = std::atoi(tokens[1].c_str());
-      net.source = std::atoi(tokens[2].c_str());
-      net.sink = std::atoi(tokens[3].c_str());
+      net.parent = *parent;
+      net.source = *source;
+      net.sink = *sink;
       std::vector<fpga::SegmentIndex> segments;
       for (std::size_t t = 5; t < tokens.size(); ++t) {
         const auto seg = ParseSegmentName(*arch, tokens[t]);

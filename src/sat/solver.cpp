@@ -9,8 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <unordered_map>
-
-#include "sat/clause_exchange.h"
+#include <unordered_set>
 
 namespace satfr::sat {
 
@@ -41,12 +40,7 @@ SolverStats SolverStats::Since(const SolverStats& baseline) const {
       lits_removed_vivify - baseline.lits_removed_vivify;
   d.clauses_strengthened =
       clauses_strengthened - baseline.clauses_strengthened;
-  d.exported_clauses = exported_clauses - baseline.exported_clauses;
-  d.imported_clauses = imported_clauses - baseline.imported_clauses;
-  d.import_duplicates = import_duplicates - baseline.import_duplicates;
   d.retired_groups = retired_groups - baseline.retired_groups;
-  d.activation_blocked_exports =
-      activation_blocked_exports - baseline.activation_blocked_exports;
   d.solve_seconds = solve_seconds - baseline.solve_seconds;
   for (std::size_t i = 0; i < kLbdHistogramSize; ++i) {
     d.lbd_histogram[i] = lbd_histogram[i] - baseline.lbd_histogram[i];
@@ -74,11 +68,7 @@ void SolverStats::Accumulate(const SolverStats& other) {
   clauses_vivified += other.clauses_vivified;
   lits_removed_vivify += other.lits_removed_vivify;
   clauses_strengthened += other.clauses_strengthened;
-  exported_clauses += other.exported_clauses;
-  imported_clauses += other.imported_clauses;
-  import_duplicates += other.import_duplicates;
   retired_groups += other.retired_groups;
-  activation_blocked_exports += other.activation_blocked_exports;
   // Per-worker wall times overlap, so the merged figure is the pool's
   // aggregate CPU-seconds of solving — the convention MergedStats already
   // established for props/sec readings.
@@ -417,46 +407,6 @@ bool Solver::AddCnf(const Cnf& cnf) {
   for (const Clause& clause : cnf.clauses()) {
     if (!AddClause(clause)) return false;
   }
-  return true;
-}
-
-bool Solver::AddImportedClause(const Clause& clause, std::uint32_t lbd) {
-  assert(DecisionLevel() == 0);
-  if (!ok_) return false;
-  // Same level-0 simplification as AddClause, but survivors of size >= 3
-  // enter the learnt database in the tier matching the sender's LBD
-  // instead of the problem-clause list.
-  add_scratch_ = clause;
-  std::sort(add_scratch_.begin(), add_scratch_.end());
-  std::size_t out = 0;
-  Lit previous = kUndefLit;
-  for (std::size_t i = 0; i < add_scratch_.size(); ++i) {
-    const Lit l = add_scratch_[i];
-    const LBool value = Value(l);
-    if (value == LBool::kTrue || l == ~previous) return true;  // satisfied
-    if (value != LBool::kFalse && l != previous) {
-      add_scratch_[out++] = l;
-      previous = l;
-    }
-  }
-  add_scratch_.resize(out);
-  if (add_scratch_.empty()) {
-    ok_ = false;
-    return false;
-  }
-  if (add_scratch_.size() == 1) {
-    UncheckedEnqueue(add_scratch_[0], kNoClause);
-    ok_ = (Propagate() == kNoClause);
-    return ok_;
-  }
-  if (add_scratch_.size() == 2) {
-    AttachBinary(add_scratch_[0], add_scratch_[1]);
-    return true;
-  }
-  const ClauseRef cref = AllocClause(add_scratch_, /*learnt=*/true);
-  const auto size = static_cast<std::uint32_t>(add_scratch_.size());
-  RegisterLearnt(cref, std::min(std::max(lbd, 1u), size));
-  AttachClause(cref);
   return true;
 }
 
@@ -1267,65 +1217,6 @@ bool Solver::VivifyClause(ClauseRef cref) {
   return ok_;
 }
 
-void Solver::ExportLearnt(const Clause& learnt, std::uint32_t lbd) {
-  if (!exchange_) return;
-  if (learnt.size() > 2 && lbd > options_.share_max_lbd) return;
-  // Learnts over activation variables are local bookkeeping: a peer's
-  // NumberingKey covers only the base layout, so a clause mentioning a
-  // session's selector literal would be gibberish (or worse, unsound once
-  // the group is retired here but alive there) on the other side.
-  if (activation_begin_ >= 0) {
-    for (const Lit l : learnt) {
-      if (l.var() >= activation_begin_) {
-        ++stats_.activation_blocked_exports;
-        return;
-      }
-    }
-  }
-  // Remember the literal hash (it is identity under arena GC); a clause
-  // this solver has already imported is not echoed back, and a clause it
-  // exported will be recognized if the exchange ever offers it back.
-  if (!exchange_seen_.insert(ClauseExchange::HashClause(learnt)).second) {
-    return;
-  }
-  exchange_->Publish(exchange_participant_, learnt, lbd);
-  ++stats_.exported_clauses;
-}
-
-std::size_t Solver::ImportClauses() {
-  // Imports splice foreign derivations into the database, which a local
-  // RUP log cannot justify — skip them whenever a proof is being recorded.
-  if (!exchange_ || !ok_ || proof_log_) return 0;
-  assert(DecisionLevel() == 0);
-  std::vector<SharedClause> buffer;
-  exchange_->Collect(exchange_participant_, &buffer);
-  std::size_t imported = 0;
-  for (const SharedClause& shared : buffer) {
-    bool in_range = true;
-    for (const Lit l : shared.lits) {
-      if (!l.IsValid() || l.var() >= num_vars()) {
-        in_range = false;
-        break;
-      }
-    }
-    if (!in_range) continue;
-    // Deduplicate by literal hash: the exchange's own FIFO dedup set is
-    // reset periodically, so a clause this solver exported (or already
-    // imported) can come back under a fresh sequence number — and after a
-    // GC its original has a different arena address, so no reference
-    // comparison can catch that. The literal hash can.
-    if (!exchange_seen_.insert(ClauseExchange::HashClause(shared.lits))
-             .second) {
-      ++stats_.import_duplicates;
-      continue;
-    }
-    ++imported;
-    if (!AddImportedClause(shared.lits, shared.lbd)) break;  // refuted
-  }
-  stats_.imported_clauses += imported;
-  return imported;
-}
-
 double Solver::Luby(double y, int i) {
   // Find the finite subsequence containing index i, and its position.
   int size = 1;
@@ -1378,7 +1269,6 @@ LBool Solver::Search(std::int64_t conflict_budget, const Deadline& deadline,
         Analyze(confl, learnt, backtrack_level, lbd);
       }
       if (proof_log_) proof_log_->push_back(learnt);
-      ExportLearnt(learnt, lbd);
       Backtrack(backtrack_level);
       if (learnt.size() == 1) {
         UncheckedEnqueue(learnt[0], kNoClause);
@@ -1776,8 +1666,7 @@ SolveResult Solver::SolveWithAssumptions(const std::vector<Lit>& assumptions,
   while (status == LBool::kUndef && !budget_exhausted_) {
     Stopwatch inprocess_watch;
     // Restart boundary: the solver is at level 0, so the tier lists can be
-    // rebucketed, shared clauses spliced into the database, and tier2
-    // clauses vivified before the next descent.
+    // rebucketed and tier2 clauses vivified before the next descent.
     RebucketLearnts();
     // Learnt binaries accumulate in the scattered overflow lists; once
     // enough pile up, fold them into the frozen CSR so the propagation
@@ -1791,13 +1680,6 @@ SolveResult Solver::SolveWithAssumptions(const std::vector<Lit>& assumptions,
         std::fprintf(stderr, "%s (restart %d)\n", violation.c_str(),
                      restarts);
         std::abort();
-      }
-    }
-    if (exchange_ != nullptr) {
-      ImportClauses();
-      if (!ok_) {
-        status = LBool::kFalse;
-        break;
       }
     }
     if (options_.vivify && !options_.deterministic && restarts > 0 &&

@@ -28,16 +28,11 @@
 //
 // Solving is cooperative: a Deadline and/or an std::atomic<bool> stop flag
 // (used by the portfolio runner) abort the search with SolveResult::kUnknown.
-// A solver can additionally be wired to a ClauseExchange (SetClauseExchange):
-// it then exports units and low-LBD learnts after every conflict and imports
-// pending shared clauses at restart boundaries (ImportClauses); imported
-// clauses land in the learnt tier matching their sender-side LBD.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/rng.h"
@@ -47,8 +42,6 @@
 #include "sat/types.h"
 
 namespace satfr::sat {
-
-class ClauseExchange;
 
 enum class SolveResult { kSat, kUnsat, kUnknown };
 
@@ -75,9 +68,6 @@ struct SolverOptions {
   // reduction. Core and tier2 clauses do not count against the limit.
   double learnt_size_factor = 1.0 / 3.0;
   double learnt_size_inc = 1.15;
-  // Clause sharing (only when a ClauseExchange is attached): learnts with
-  // LBD <= share_max_lbd are exported; units and binaries always qualify.
-  std::uint32_t share_max_lbd = 2;
   // Seed for random decisions / polarities.
   std::uint64_t seed = 91648253;
 
@@ -153,23 +143,18 @@ struct SolverStats {
   std::uint64_t clauses_vivified = 0;
   std::uint64_t lits_removed_vivify = 0;
   std::uint64_t clauses_strengthened = 0;
-  std::uint64_t exported_clauses = 0;
+  // Always 0: solvers share no clauses. The field stays only because
+  // perfbench's traced cube_refute arm still reads it; the benchmark change
+  // of ROADMAP item 1 removes that last reader, and this field with it.
   std::uint64_t imported_clauses = 0;
-  // Imports dropped because a clause with the same literal set was already
-  // exported or imported by this solver (identity survives arena GC — the
-  // hash covers literals, not clause addresses).
-  std::uint64_t import_duplicates = 0;
-  // Activation-group machinery (see ReserveActivationVars): groups retired
-  // with a permanent negative unit, and learnts withheld from the exchange
-  // because they mention an activation variable (meaningless to peers whose
-  // NumberingKey only covers the base layout).
+  // Activation groups retired with a permanent negative unit (see
+  // RetireActivationGroup).
   std::uint64_t retired_groups = 0;
-  std::uint64_t activation_blocked_exports = 0;
   double solve_seconds = 0.0;
   // LBD distribution of everything learned (one array store per conflict).
   std::uint64_t lbd_histogram[kLbdHistogramSize] = {};
   // Phase-time split of the search: propagation vs. conflict analysis vs.
-  // restart-boundary inprocessing (reduce/vivify/rebucket/import). Only
+  // restart-boundary inprocessing (reduce/vivify/rebucket). Only
   // accumulated while a SolverObserver is attached — the timing reads cost
   // two clock queries per propagation pass, so the unobserved hot path
   // never pays them.
@@ -338,33 +323,14 @@ class Solver {
   /// retains every learned clause).
   void SetProofLog(std::vector<Clause>* log) { proof_log_ = log; }
 
-  /// Connects this solver to a portfolio clause-exchange buffer as the
-  /// member registered under `participant`. Once connected, the solver
-  /// exports units and learnts with LBD <= options.share_max_lbd after each
-  /// conflict and imports pending shared clauses at restart boundaries.
-  /// Pass nullptr to disconnect. Clauses imported while a proof log is
-  /// attached would break the RUP derivation chain, so imports are
-  /// suppressed whenever SetProofLog is active.
-  void SetClauseExchange(ClauseExchange* exchange, int participant) {
-    exchange_ = exchange;
-    exchange_participant_ = participant;
-  }
-
   /// Declares that every variable from the returned id upward is an
   /// *activation* variable: a selector literal guarding a retractable clause
-  /// group (per-net groups, width-ladder guards). The split has two effects:
-  /// learnts mentioning an activation variable are never exported to a
-  /// ClauseExchange (peers share only the base-layout numbering covered by
-  /// encode::NumberingKey, so the exchange key stays valid no matter how
-  /// many activation variables a session allocates later), and
-  /// RetireActivationGroup becomes available for them. `hint` variables are
-  /// reserved up front (more may be allocated later via EnsureVars/NewVar —
-  /// they are activation variables too). Returns the first activation
-  /// variable id; idempotent (later calls return the same id).
+  /// group (per-net groups), which RetireActivationGroup can retire. `hint`
+  /// variables are reserved up front (more may be allocated later via
+  /// EnsureVars/NewVar — they are activation variables too). Returns the
+  /// first activation variable id; idempotent (later calls return the same
+  /// id).
   Var ReserveActivationVars(int hint);
-
-  /// First activation variable, or -1 before ReserveActivationVars.
-  Var activation_vars_begin() const { return activation_begin_; }
 
   bool IsActivationVar(Var v) const {
     return activation_begin_ >= 0 && v >= activation_begin_;
@@ -377,16 +343,6 @@ class Solver {
   /// ~activation (i.e. whose derivation leaned on the group under the
   /// activation assumption). Call between solves only. Returns okay().
   bool RetireActivationGroup(Var activation);
-
-  /// Imports every pending shared clause from the attached exchange into
-  /// the clause database (learnt tier chosen from the sender's LBD).
-  /// Clauses whose literal set this solver already exported or imported
-  /// are dropped — the literal hash, unlike a clause reference, survives
-  /// arena GC, so a clause cannot round-trip back in under a new identity.
-  /// Called automatically at restart boundaries; safe to call between
-  /// solves. Returns the number of clauses taken from the exchange
-  /// (okay() turns false if an import refutes the formula).
-  std::size_t ImportClauses();
 
  private:
   using ClauseRef = std::uint32_t;
@@ -530,9 +486,6 @@ class Solver {
   void RemoveClause(ClauseRef cref);
   // Registers a freshly allocated learnt in its tier (tag + list + stats).
   void RegisterLearnt(ClauseRef cref, std::uint32_t lbd);
-  // Adds one clause collected from the exchange; learnt-tier placement by
-  // the sender's LBD. Returns false if the formula became unsatisfiable.
-  bool AddImportedClause(const Clause& clause, std::uint32_t lbd);
 
   void UncheckedEnqueue(Lit p, ClauseRef from);
   void UnassignForBacktrack(Lit p);
@@ -579,7 +532,6 @@ class Solver {
   std::uint32_t ComputeLbd(const Clause& lits) {
     return ComputeLbd(lits.data(), lits.size());
   }
-  void ExportLearnt(const Clause& learnt, std::uint32_t lbd);
 
   // Returns kTrue (model found), kFalse (UNSAT), or kUndef (restart or
   // budget exhausted; check budget_exhausted_).
@@ -692,13 +644,6 @@ class Solver {
 
   SolverObserver* observer_ = nullptr;
   SolverStats observer_baseline_;
-
-  ClauseExchange* exchange_ = nullptr;
-  int exchange_participant_ = -1;
-  // Literal hashes of every clause this solver has exported or imported;
-  // the import path drops clauses whose hash is present (see
-  // ImportClauses).
-  std::unordered_set<std::uint64_t> exchange_seen_;
 
   // Scratch for the span AddClause (capacity reused across calls).
   Clause add_scratch_;

@@ -608,7 +608,7 @@ TEST(McCoverageTest, FlagsRawAtomicInScope) {
 TEST(McCoverageTest, FlagsRawMutexAndFence) {
   const AnalysisReport report = LintSources(
       {{"src/obs/metrics.h", "mutable std::mutex mutex_;\n"},
-       {"src/sat/clause_exchange.cpp",
+       {"src/cube/cube_solver.cpp",
         "std::atomic_thread_fence(std::memory_order_acquire);\n"}});
   EXPECT_EQ(FindingsOf(report, "mc-coverage").size(), 2u);
 }

@@ -134,6 +134,40 @@ TEST(StableHashTest, DeterministicAndSpreads) {
 
 // ------------------------------------------------------------- strings
 
+TEST(StringsTest, ParseIntAcceptsWholeTokens) {
+  EXPECT_EQ(ParseInt("42"), 42);
+  EXPECT_EQ(ParseInt("-7"), -7);
+  EXPECT_EQ(ParseInt("2147483647"), 2147483647);
+  EXPECT_EQ(ParseInt("1", 1), 1);
+}
+
+TEST(StringsTest, ParseIntRejectsMalformedOrOutOfRange) {
+  EXPECT_FALSE(ParseInt(""));
+  EXPECT_FALSE(ParseInt("abc"));        // non-numeric
+  EXPECT_FALSE(ParseInt("8x"));         // trailing junk
+  EXPECT_FALSE(ParseInt(" 8"));         // whitespace is not part of a number
+  EXPECT_FALSE(ParseInt("+8"));
+  EXPECT_FALSE(ParseInt("2.5"));
+  EXPECT_FALSE(ParseInt("2147483648"));   // int overflow
+  EXPECT_FALSE(ParseInt("-2147483649"));  // int underflow
+  EXPECT_FALSE(ParseInt("0", 1));         // below the minimum
+}
+
+TEST(StringsTest, ParseDoubleAcceptsFiniteNumbers) {
+  EXPECT_EQ(ParseDouble("2"), 2.0);
+  EXPECT_EQ(ParseDouble("0.5"), 0.5);
+  EXPECT_EQ(ParseDouble("-1e-3"), -1e-3);
+}
+
+TEST(StringsTest, ParseDoubleRejectsMalformedOrNonFinite) {
+  EXPECT_FALSE(ParseDouble(""));
+  EXPECT_FALSE(ParseDouble("xyz"));     // non-numeric
+  EXPECT_FALSE(ParseDouble("1.5s"));    // trailing junk
+  EXPECT_FALSE(ParseDouble("1e999"));   // double overflow
+  EXPECT_FALSE(ParseDouble("inf"));
+  EXPECT_FALSE(ParseDouble("nan"));
+}
+
 TEST(StringsTest, SplitWhitespaceBasics) {
   const auto tokens = SplitWhitespace("  p cnf  3 \t 4\n");
   ASSERT_EQ(tokens.size(), 4u);

@@ -181,7 +181,7 @@ TEST(CubeSolverTest, PoolSolvesConsecutiveBatchesOnResidentSolvers) {
   CubePoolOptions pool_options;
   pool_options.num_workers = 2;
   cube::CubeWorkerPool pool(sat::SolverOptions::SiegeLike(), pool_options,
-                            /*numbering_key=*/1, loader);
+                            loader);
   ASSERT_TRUE(pool.okay());
 
   CubeGenOptions gen;
@@ -217,7 +217,7 @@ TEST(CubeSolverTest, SetupFailureReportsRefuted) {
   const auto broken_loader = [](int, sat::Solver&) { return false; };
   CubePoolOptions pool_options;
   pool_options.num_workers = 2;
-  cube::CubeWorkerPool pool(sat::SolverOptions::SiegeLike(), pool_options, 0,
+  cube::CubeWorkerPool pool(sat::SolverOptions::SiegeLike(), pool_options,
                             broken_loader);
   EXPECT_FALSE(pool.okay());
   const auto batch = pool.SolveBatch({{sat::Lit::Pos(0)}}, {});

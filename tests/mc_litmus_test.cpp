@@ -1,6 +1,6 @@
 // Litmus suite for the concurrency model checker (src/mc) and the
-// lock-free layers it guards: the Chase-Lev deque, the clause-exchange
-// seqlock ring, and the sharded metrics registry.
+// lock-free layers it guards: the Chase-Lev deque, the service cache's
+// seqlocked summary slots, and the sharded metrics registry.
 //
 // Two kinds of tests live here:
 //
@@ -13,8 +13,8 @@
 //     weak and every litmus below would false-positive.
 //
 //   * Property litmus tests on the real production structures: no cube
-//     lost or popped twice, no torn clause delivered plus the collect
-//     conservation ledger, and metrics snapshot totals conserved. These
+//     lost or popped twice, no torn or stale cache summary, and metrics
+//     snapshot totals conserved. These
 //     compile and run in BOTH build modes: under SATFR_MODEL_CHECK the
 //     body is explored across interleavings; in a normal build mc::Check
 //     degrades to a single real-thread run, so the suite doubles as a
@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@
 #include "mc/model_check.h"
 #include "mc/shim.h"
 #include "obs/metrics.h"
-#include "sat/clause_exchange.h"
 #include "service/cache.h"
 
 namespace satfr {
@@ -377,107 +375,6 @@ TEST(McDequeLitmus, ExactlyOnceOwnerPushesDuringRun) {
         MC_CHECK(all[0] == 42 && all[1] == 43, "wrong cube multiset");
       },
       opts);
-  EXPECT_TRUE(res.ok) << res.FailureSummary();
-}
-
-// ---------------------------------------------------------------------------
-// Clause-exchange ring: no torn clause delivered, ledger conserved.
-// ---------------------------------------------------------------------------
-
-// Publisher pushes kClauses two-literal clauses through a capacity-2 ring
-// (so later publishes overwrite earlier slots mid-run) while the collector
-// drains concurrently. Literal pattern: clause i is {+v, -(v + 999)} with
-// v = i + 1 and lbd = v, so any torn mix of two publishes breaks either
-// the var correlation or the lbd correlation.
-void ExchangeNoTornBody() {
-  constexpr int kClauses = 3;
-  auto ex = std::make_shared<sat::ClauseExchange>(2);
-  const int pub = ex->Register(/*full_key=*/7, /*unit_key=*/7);
-  const int col = ex->Register(/*full_key=*/7, /*unit_key=*/7);
-  MC_CHECK(pub == 0 && col == 1, "registration ids");
-
-  mc::Thread publisher([ex, pub] {
-    for (int i = 0; i < kClauses; ++i) {
-      const sat::Var v = i + 1;
-      const sat::Clause clause = {sat::Lit::Pos(v), sat::Lit::Neg(v + 999)};
-      ex->Publish(pub, clause, /*lbd=*/static_cast<std::uint32_t>(v));
-    }
-  });
-  auto got = std::make_shared<std::vector<sat::SharedClause>>();
-  mc::Thread collector([ex, col, got] {
-    for (int round = 0; round < kClauses + 1; ++round) {
-      ex->Collect(col, got.get());
-      mc::Yield();
-    }
-  });
-  publisher.Join();
-  collector.Join();
-  // Post-join sweeps are sequential (join gives the root happens-before
-  // over everything): the collector's cursor picks up whatever the
-  // concurrent rounds parked behind, and the publisher's collect must see
-  // only its own clauses and skip every one.
-  ex->Collect(col, got.get());
-  std::vector<sat::SharedClause> self_view;
-  ex->Collect(pub, &self_view);
-  MC_CHECK(self_view.empty(), "publisher imported its own clause");
-
-  std::set<sat::Var> seen;
-  for (const sat::SharedClause& shared : *got) {
-    MC_CHECK(shared.lits.size() == 2, "torn clause: wrong size");
-    const sat::Var v = shared.lits[0].var();
-    MC_CHECK(v >= 1 && v <= kClauses, "torn clause: var out of range");
-    MC_CHECK(!shared.lits[0].negated(), "torn clause: wrong sign on lit 0");
-    MC_CHECK(shared.lits[1].var() == v + 999,
-             "torn clause: literals from different publishes");
-    MC_CHECK(shared.lits[1].negated(), "torn clause: wrong sign on lit 1");
-    MC_CHECK(shared.lbd == static_cast<std::uint32_t>(v),
-             "torn clause: lbd from a different publish");
-    MC_CHECK(seen.insert(v).second, "clause delivered twice");
-  }
-
-  // Reader-side conservation: every cursor step is accounted exactly once.
-  const sat::ClauseExchange::Totals t = ex->totals();
-  MC_CHECK(t.cursor_advanced == t.collected + t.torn_reads + t.self_skipped +
-                                    t.incompatible_skipped +
-                                    t.eviction_skipped,
-           "collect conservation ledger violated");
-  MC_CHECK(t.published == static_cast<std::uint64_t>(kClauses),
-           "publish count");
-}
-
-TEST(McExchangeLitmus, NoTornClauseDeliveredAndLedgerConserved) {
-  mc::ModelCheckOptions opts;
-  opts.max_preemptions = 2;
-  opts.max_stale_reads = 2;
-  opts.max_exhaustive_schedules = 3000;
-  opts.random_schedules = 200;
-  const mc::ModelCheckResult res = mc::Check(ExchangeNoTornBody, opts);
-  EXPECT_TRUE(res.ok) << res.FailureSummary();
-}
-
-// Sequential eviction sweep: publish past the ring capacity, then collect.
-// Exercises the wholesale lap-behind jump and the per-ticket eviction skip
-// arms of the ledger without scheduler interleaving.
-TEST(McExchangeLitmus, EvictionSkipsStayOnLedger) {
-  const mc::ModelCheckResult res = mc::Check([] {
-    sat::ClauseExchange ex(2);
-    const int pub = ex.Register(3, 3);
-    const int col = ex.Register(3, 3);
-    for (int i = 0; i < 6; ++i) {
-      const sat::Var v = 10 + i;
-      const sat::Clause clause = {sat::Lit::Pos(v), sat::Lit::Neg(v + 100)};
-      ex.Publish(pub, clause, 2);
-    }
-    std::vector<sat::SharedClause> got;
-    ex.Collect(col, &got);
-    MC_CHECK(!got.empty(), "nothing survived the ring");
-    const sat::ClauseExchange::Totals t = ex.totals();
-    MC_CHECK(t.eviction_skipped > 0, "eviction sweep left no ledger trace");
-    MC_CHECK(t.cursor_advanced == t.collected + t.torn_reads +
-                                      t.self_skipped + t.incompatible_skipped +
-                                      t.eviction_skipped,
-             "collect conservation ledger violated");
-  });
   EXPECT_TRUE(res.ok) << res.FailureSummary();
 }
 

@@ -104,6 +104,23 @@ TEST(NetlistIoTest, RejectsOffGridBlock) {
   EXPECT_NE(error.find("off-grid"), std::string::npos);
 }
 
+// Every number is a whole, in-range integer token: "abc" is not x = 0,
+// "4x" is not 4, and a value past INT_MAX does not wrap into the grid.
+TEST(NetlistIoTest, RejectsMalformedNumbers) {
+  const char* const bad[] = {
+      "satfr_netlist 1\ngrid 4\nblock a 0 0\nblock b abc 2\n",
+      "satfr_netlist 1\ngrid 4\nblock a 0 1y\n",
+      "satfr_netlist 1\ngrid 4x\nblock a 0 0\n",
+      "satfr_netlist 1\ngrid 4294967297\nblock a 0 0\n",
+      "satfr_netlist 1\ngrid 4\nblock a 4294967296 0\n",
+  };
+  for (const char* text : bad) {
+    std::string error;
+    EXPECT_FALSE(ParsePlacedNetlistString(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("(line "), std::string::npos) << error;
+  }
+}
+
 TEST(NetlistIoTest, RejectsNetWithoutSinks) {
   std::string error;
   EXPECT_FALSE(ParsePlacedNetlistString(

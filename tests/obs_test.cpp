@@ -5,7 +5,6 @@
 // the satlint telemetry-consistency pass on a real solve.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -240,10 +239,6 @@ TEST(RunReportTest, RecordRoundTripsThroughJson) {
   record.peak_clause_memory_bytes = 4096;
   record.cubes = 128;
   record.cubes_stolen = 17;
-  record.exchange_exported = 9;
-  record.exchange_imported = 8;
-  record.exchange_dropped_full = 7;
-  record.exchange_torn_reads = 1;
   record.has_observed = true;
   record.observed_propagations = 111;
   record.observed_conflicts = 33;
@@ -393,7 +388,7 @@ TEST(TelemetryConsistencyTest, CatchesObserverDrift) {
   EXPECT_FALSE(report.diagnostics.empty());
 }
 
-// ------------------------------------------ exchange-conservation pass --
+// ----------------------------------------- observer detach mid-solve --
 
 std::vector<std::string> PassesWithFindings(
     const std::vector<RunRecord>& records) {
@@ -405,57 +400,6 @@ std::vector<std::string> PassesWithFindings(
   for (const auto& d : report.diagnostics) passes.push_back(d.pass);
   return passes;
 }
-
-RunRecord BalancedExchangeRecord() {
-  RunRecord r;
-  r.verdict = "SAT";
-  r.exchange_exported = 10;
-  r.exchange_imported = 6;
-  r.exchange_torn_reads = 1;
-  r.exchange_self_skipped = 2;
-  r.exchange_incompatible_skipped = 1;
-  r.exchange_eviction_skipped = 3;
-  r.exchange_cursor_advanced = 6 + 1 + 2 + 1 + 3;
-  return r;
-}
-
-TEST(ExchangeConservationTest, BalancedLedgerPasses) {
-  const std::vector<RunRecord> records = {BalancedExchangeRecord()};
-  for (const std::string& pass : PassesWithFindings(records)) {
-    EXPECT_NE(pass, "exchange-conservation");
-  }
-}
-
-TEST(ExchangeConservationTest, CatchesUnclassifiedCursorSteps) {
-  RunRecord r = BalancedExchangeRecord();
-  r.exchange_cursor_advanced += 2;  // two tickets skipped unaccounted
-  const std::vector<std::string> passes = PassesWithFindings({r});
-  EXPECT_NE(std::find(passes.begin(), passes.end(), "exchange-conservation"),
-            passes.end());
-}
-
-TEST(ExchangeConservationTest, CatchesImportWithoutExport) {
-  RunRecord r = BalancedExchangeRecord();
-  r.exchange_exported = 0;
-  const std::vector<std::string> passes = PassesWithFindings({r});
-  EXPECT_NE(std::find(passes.begin(), passes.end(), "exchange-conservation"),
-            passes.end());
-}
-
-TEST(ExchangeConservationTest, RealCubePoolReportBalances) {
-  // The end-to-end check: a real cube-pool solve's ledger must balance —
-  // this is what CI's `satlint report` run asserts on every benchmark.
-  const std::string path = TempPath("obs_exchange_ledger.jsonl");
-  SolveAndReport(path);
-  std::vector<RunRecord> records;
-  std::string error;
-  ASSERT_TRUE(LoadRunReport(path, &records, &error)) << error;
-  for (const std::string& pass : PassesWithFindings(records)) {
-    EXPECT_NE(pass, "exchange-conservation");
-  }
-}
-
-// ----------------------------------------- observer detach mid-solve --
 
 // Detaches itself from inside its own restart callback at the first
 // sample, recording the solver stats at that instant. Because the solver

@@ -42,15 +42,28 @@ TEST(PortfolioTest, FindsSatAnswer) {
             sat::SolveResult::kSat);
 }
 
-TEST(PortfolioTest, FindsUnsatAnswer) {
+TEST(PortfolioTest, AnswersMatchChromaticNumber) {
+  // Whichever member wins, the verdict is the exact one: UNSAT at chi - 1,
+  // a proper coloring at chi. Random graphs on both sides of the threshold.
   Rng rng(222);
-  const graph::Graph g = testutil::RandomGraph(rng, 10, 0.5);
-  const int chi = graph::ChromaticNumberExact(g);
-  ASSERT_GE(chi, 2);
-  const PortfolioResult result =
-      RunPortfolio(g, chi - 1, PaperPortfolio2());
-  ASSERT_GE(result.winner, 0);
-  EXPECT_EQ(result.result.status, sat::SolveResult::kUnsat);
+  for (int round = 0; round < 12; ++round) {
+    const graph::Graph g =
+        testutil::RandomGraph(rng, 14, /*edge_probability=*/0.45);
+    const int chi = graph::ChromaticNumberExact(g);
+    ASSERT_GE(chi, 2);
+    for (const bool three : {false, true}) {
+      const auto strategies = three ? PaperPortfolio3() : PaperPortfolio2();
+      const PortfolioResult unsat = RunPortfolio(g, chi - 1, strategies);
+      ASSERT_GE(unsat.winner, 0);
+      EXPECT_EQ(unsat.result.status, sat::SolveResult::kUnsat)
+          << "round " << round << " chi=" << chi << " three=" << three;
+      const PortfolioResult sat_side = RunPortfolio(g, chi, strategies);
+      ASSERT_GE(sat_side.winner, 0);
+      EXPECT_EQ(sat_side.result.status, sat::SolveResult::kSat)
+          << "round " << round << " chi=" << chi << " three=" << three;
+      EXPECT_TRUE(g.IsProperColoring(sat_side.result.tracks, chi));
+    }
+  }
 }
 
 TEST(PortfolioTest, AgreesWithSingleStrategy) {
@@ -132,109 +145,6 @@ TEST(PortfolioTest, WalkSatNeverWinsUnsatRaces) {
       RunPortfolio(g, chi - 1, strategies, 60.0);
   ASSERT_EQ(result.winner, 1);  // the CDCL member must deliver the proof
   EXPECT_EQ(result.result.status, sat::SolveResult::kUnsat);
-}
-
-TEST(PortfolioTest, DiversifiedPortfolioIsWellFormed) {
-  const auto strategies = DiversifiedPortfolio(4);
-  ASSERT_EQ(strategies.size(), 4u);
-  const sat::SolverOptions defaults = sat::SolverOptions::SiegeLike();
-  EXPECT_EQ(strategies[0].solver.seed, defaults.seed);
-  for (const Strategy& s : strategies) {
-    EXPECT_EQ(s.encoding_name, "ITE-linear-2+muldirect");
-    EXPECT_EQ(s.heuristic, symmetry::Heuristic::kS1);
-    EXPECT_FALSE(s.use_walksat);
-  }
-  // Diversified members must differ from each other in seed.
-  for (std::size_t i = 1; i < strategies.size(); ++i) {
-    for (std::size_t j = i + 1; j < strategies.size(); ++j) {
-      EXPECT_NE(strategies[i].solver.seed, strategies[j].solver.seed);
-    }
-  }
-}
-
-TEST(PortfolioTest, SharingNeverChangesAnswers) {
-  // The soundness property of the clause exchange: on the same instance, a
-  // sharing portfolio must reach the same SAT/UNSAT verdict as a
-  // non-sharing one. Random graphs on both sides of the threshold.
-  Rng rng(20260806);
-  for (int round = 0; round < 12; ++round) {
-    const graph::Graph g =
-        testutil::RandomGraph(rng, 14, /*edge_probability=*/0.45);
-    const int k = 3 + static_cast<int>(rng.NextBelow(3));
-    PortfolioOptions sharing;
-    sharing.share_clauses = true;
-    const PortfolioResult with = RunPortfolio(
-        g, k, DiversifiedPortfolio(3), /*timeout_seconds=*/0.0, sharing);
-    const PortfolioResult without =
-        RunPortfolio(g, k, DiversifiedPortfolio(3));
-    ASSERT_GE(with.winner, 0);
-    ASSERT_GE(without.winner, 0);
-    EXPECT_EQ(with.result.status, without.result.status)
-        << "round " << round << " K=" << k;
-  }
-}
-
-TEST(PortfolioTest, SharingReportsExchangeTraffic) {
-  // K_13 with 12 colors under s1 symmetry breaking: UNSAT with real search,
-  // so the members have learnts to trade.
-  graph::Graph g(13);
-  for (graph::VertexId u = 0; u < 13; ++u) {
-    for (graph::VertexId v = u + 1; v < 13; ++v) g.AddEdge(u, v);
-  }
-  PortfolioOptions sharing;
-  sharing.share_clauses = true;
-  const PortfolioResult result = RunPortfolio(
-      g, 12, DiversifiedPortfolio(3), /*timeout_seconds=*/0.0, sharing);
-  ASSERT_GE(result.winner, 0);
-  EXPECT_EQ(result.result.status, sat::SolveResult::kUnsat);
-  ASSERT_EQ(result.strategy_stats.size(), 3u);
-  std::uint64_t exported = 0;
-  for (const sat::SolverStats& stats : result.strategy_stats) {
-    exported += stats.exported_clauses;
-  }
-  EXPECT_GT(exported, 0u);
-  EXPECT_GT(result.exchange_totals.published, 0u);
-}
-
-TEST(PortfolioTest, CubeMemberWinsRacesWithExactVerdicts) {
-  // A portfolio whose cube member is the only complete strategy on both
-  // sides: it must deliver SAT at the DSATUR width and UNSAT below the
-  // clique bound, with the model validated by the portfolio's winner path.
-  Rng rng(555);
-  const graph::Graph g = testutil::RandomGraph(rng, 12, 0.4);
-  const int chi = graph::ChromaticNumberExact(g);
-  std::vector<Strategy> strategies(1);
-  strategies[0].encoding_name = "ITE-linear-2+muldirect";
-  strategies[0].heuristic = symmetry::Heuristic::kS1;
-  strategies[0].cube_workers = 2;
-  EXPECT_NE(strategies[0].DisplayName().find("cube x2"), std::string::npos);
-
-  const PortfolioResult sat_side = RunPortfolio(g, chi, strategies);
-  ASSERT_EQ(sat_side.winner, 0);
-  EXPECT_EQ(sat_side.result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(g.IsProperColoring(sat_side.result.tracks, chi));
-  if (chi > 1) {
-    const PortfolioResult unsat_side = RunPortfolio(g, chi - 1, strategies);
-    ASSERT_EQ(unsat_side.winner, 0);
-    EXPECT_EQ(unsat_side.result.status, sat::SolveResult::kUnsat);
-  }
-}
-
-TEST(PortfolioTest, CubeMemberAlongsideCdclAndWalksat) {
-  // Mixed portfolio: CDCL + WalkSAT + cube racing the same SAT instance.
-  Rng rng(666);
-  const graph::Graph g = testutil::RandomGraph(rng, 12, 0.35);
-  const int width = graph::NumColorsUsed(graph::DsaturColoring(g));
-  std::vector<Strategy> strategies(3);
-  strategies[0].encoding_name = "ITE-linear-2+muldirect";
-  strategies[0].heuristic = symmetry::Heuristic::kS1;
-  strategies[1] = strategies[0];
-  strategies[1].use_walksat = true;
-  strategies[2] = strategies[0];
-  strategies[2].cube_workers = 2;
-  const PortfolioResult result = RunPortfolio(g, width, strategies);
-  ASSERT_GE(result.winner, 0);
-  EXPECT_EQ(result.result.status, sat::SolveResult::kSat);
 }
 
 TEST(PortfolioTest, LosersAreCancelledQuickly) {

@@ -86,5 +86,23 @@ TEST(RoutingIoTest, RejectsMissingHeader) {
   EXPECT_FALSE(ParseGlobalRoutingString("grid 2\n").has_value());
 }
 
+// Every number is a whole, in-range integer token: no silent zero for a
+// word, no prefix of "8x", no wrap-around of a value past INT_MAX.
+TEST(RoutingIoTest, RejectsMalformedNumbers) {
+  const char* const bad[] = {
+      "satfr_routing 1\ngrid 2\nroute x y z : H(0,0)\n",
+      "satfr_routing 1\ngrid 2\nroute 0 0 1x : H(0,0)\n",
+      "satfr_routing 1\ngrid 2\nroute 4294967296 0 1 : H(0,0)\n",
+      "satfr_routing 1\ngrid 2x\nroute 0 0 1 : H(0,0)\n",
+      "satfr_routing 1\ngrid 4294967298\nroute 0 0 1 :\n",
+      "satfr_routing 1\ngrid 2\nroute 0 0 1 : H(0,0)junk\n",
+  };
+  for (const char* text : bad) {
+    std::string error;
+    EXPECT_FALSE(ParseGlobalRoutingString(text, &error).has_value()) << text;
+    EXPECT_NE(error.find("(line "), std::string::npos) << error;
+  }
+}
+
 }  // namespace
 }  // namespace satfr::route

@@ -5,7 +5,6 @@
 
 #include "sat/brute_force.h"
 #include "mc/shim.h"
-#include "sat/clause_exchange.h"
 #include "sat/solver.h"
 #include "test_util.h"
 
@@ -281,76 +280,6 @@ TEST(SolverTest, GcKeepsBinaryReasonsIntact) {
   EXPECT_GT(solver.stats().gc_runs, 0u);
   EXPECT_GT(solver.stats().binary_propagations, 0u);
 }
-
-TEST(SolverTest, ImportsUnitFromExchange) {
-  ClauseExchange exchange;
-  const int publisher = exchange.Register(42, 42);
-  const int subscriber = exchange.Register(42, 42);
-  Solver solver;
-  const Var a = solver.NewVar();
-  const Var b = solver.NewVar();
-  ASSERT_TRUE(solver.AddClause({Lit::Pos(a), Lit::Pos(b)}));
-  solver.SetClauseExchange(&exchange, subscriber);
-  exchange.Publish(publisher, {Lit::Neg(a)});
-  EXPECT_EQ(solver.ImportClauses(), 1u);
-  EXPECT_EQ(solver.stats().imported_clauses, 1u);
-  ASSERT_EQ(solver.Solve(), SolveResult::kSat);
-  EXPECT_FALSE(solver.model()[static_cast<std::size_t>(a)]);
-  EXPECT_TRUE(solver.model()[static_cast<std::size_t>(b)]);
-}
-
-TEST(SolverTest, ImportCanRefuteFormula) {
-  ClauseExchange exchange;
-  const int publisher = exchange.Register(7, 7);
-  const int subscriber = exchange.Register(7, 7);
-  Solver solver;
-  const Var a = solver.NewVar();
-  ASSERT_TRUE(solver.AddClause({Lit::Pos(a)}));
-  solver.SetClauseExchange(&exchange, subscriber);
-  exchange.Publish(publisher, {Lit::Neg(a)});
-  EXPECT_EQ(solver.ImportClauses(), 1u);
-  EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
-}
-
-TEST(SolverTest, ImportSkipsOutOfRangeVariables) {
-  ClauseExchange exchange;
-  const int publisher = exchange.Register(1, 1);
-  const int subscriber = exchange.Register(1, 1);
-  Solver solver;
-  solver.NewVar();
-  solver.SetClauseExchange(&exchange, subscriber);
-  exchange.Publish(publisher, {Lit::Pos(99)});
-  EXPECT_EQ(solver.ImportClauses(), 0u);
-  EXPECT_EQ(solver.stats().imported_clauses, 0u);
-  EXPECT_EQ(solver.Solve(), SolveResult::kSat);
-}
-
-TEST(SolverTest, ImportSuppressedWhileProofLogging) {
-  ClauseExchange exchange;
-  const int publisher = exchange.Register(3, 3);
-  const int subscriber = exchange.Register(3, 3);
-  Solver solver;
-  solver.NewVar();
-  std::vector<Clause> proof;
-  solver.SetProofLog(&proof);
-  solver.SetClauseExchange(&exchange, subscriber);
-  exchange.Publish(publisher, {Lit::Neg(0)});
-  // A foreign clause cannot be justified by the local RUP log, so nothing
-  // may be imported while a proof is being recorded.
-  EXPECT_EQ(solver.ImportClauses(), 0u);
-}
-
-TEST(SolverTest, ExportsLearntsToExchange) {
-  ClauseExchange exchange;
-  const int participant = exchange.Register(11, 11);
-  Solver solver;
-  solver.SetClauseExchange(&exchange, participant);
-  ASSERT_TRUE(solver.AddCnf(testutil::PigeonholeCnf(6)));
-  EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
-  EXPECT_GT(solver.stats().exported_clauses, 0u);
-  EXPECT_GT(exchange.totals().published, 0u);
-}
-
 
 TEST(SolverInvariantsTest, HoldOnFreshSolver) {
   Solver solver;

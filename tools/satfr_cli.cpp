@@ -36,13 +36,13 @@
 //                     default <benchmark>_w<W>.cnf; the formula goes to
 //                     disk clause by clause and is never held in memory
 //   --cube            (route --width W only) cube-and-conquer: split the
-//                     width into cubes solved by a worker pool with a
-//                     lock-free clause exchange. The width searches (prove,
-//                     route-file) are monolithic and reject --cube
+//                     width into cubes solved by a worker pool with work
+//                     stealing. The width searches (prove, route-file) are
+//                     monolithic and reject --cube
 //   --workers N       (with --cube) worker-pool size (default 4)
 //   --cubes N         (with --cube) cube-count target (default 256)
-//   --deterministic   (with --cube) pin cube order, disable stealing and
-//                     sharing; single-worker runs become bit-reproducible
+//   --deterministic   (with --cube) pin cube order, disable stealing;
+//                     single-worker runs become bit-reproducible
 //
 // Replay trace format (one event per line; `#` starts a comment):
 //   ripup N             deactivate net N (its conflict edges disappear)
@@ -75,7 +75,7 @@
 //                     swimlanes
 //   --report FILE     append one structured JSONL record per solve
 //                     (verdict, timings, solver window counters, learnt-DB
-//                     shape, cube/exchange counters); lint it with
+//                     shape, cube counters); lint it with
 //                     `satlint report FILE`
 //   --metrics-out FILE  write the global metrics registry snapshot as JSON
 //                     at exit
@@ -84,7 +84,9 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
@@ -92,6 +94,7 @@
 
 #include "analysis/runner.h"
 #include "common/stopwatch.h"
+#include "common/strings.h"
 #include "cube/cube_solver.h"
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
@@ -156,6 +159,20 @@ CliOptions ParseArgs(int argc, char** argv) {
       if (i + 1 >= argc) Usage();
       return argv[++i];
     };
+    // A malformed number exits 2 naming the flag; argv[i] is the value
+    // next() just consumed.
+    auto bad_value = [&](const char* expected) {
+      std::fprintf(stderr, "%s: '%s' is not %s\n", arg.c_str(), argv[i],
+                   expected);
+      std::exit(2);
+    };
+    auto next_int = [&](int min_value = std::numeric_limits<int>::min()) {
+      const std::optional<int> value = ParseInt(next(), min_value);
+      if (!value) {
+        bad_value(min_value == 1 ? "an integer >= 1" : "an integer");
+      }
+      return *value;
+    };
     if (arg == "--encoding") {
       opts.encoding = next();
     } else if (arg == "--sym") {
@@ -163,9 +180,11 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--solver") {
       opts.solver = next();
     } else if (arg == "--timeout") {
-      opts.timeout = std::atof(next().c_str());
+      const std::optional<double> timeout = ParseDouble(next());
+      if (!timeout) bad_value("a number of seconds");
+      opts.timeout = *timeout;
     } else if (arg == "--width") {
-      opts.width = std::atoi(next().c_str());
+      opts.width = next_int();
     } else if (arg == "--routing") {
       opts.routing_file = next();
     } else if (arg == "--save-routing") {
@@ -185,9 +204,9 @@ CliOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--cube") {
       opts.cube = true;
     } else if (arg == "--workers") {
-      opts.workers = std::atoi(next().c_str());
+      opts.workers = next_int(1);
     } else if (arg == "--cubes") {
-      opts.cubes = std::atoi(next().c_str());
+      opts.cubes = next_int(1);
     } else if (arg == "--deterministic") {
       opts.deterministic = true;
     } else if (arg.rfind("--", 0) == 0) {
@@ -384,10 +403,6 @@ void PrintSolverDetail(const sat::SolverStats& s) {
                 static_cast<unsigned long long>(s.lits_removed_vivify),
                 static_cast<unsigned long long>(s.clauses_strengthened));
   }
-  if (s.import_duplicates > 0) {
-    std::printf("exchange: %llu duplicate imports dropped\n",
-                static_cast<unsigned long long>(s.import_duplicates));
-  }
 }
 
 // Routes one fixed width through the cube-and-conquer pool and prints the
@@ -395,9 +410,9 @@ void PrintSolverDetail(const sat::SolverStats& s) {
 // instead; a pool's merged counters aggregate CPU across workers).
 int CmdRouteCube(const CliOptions& opts, const LoadedBenchmark& loaded) {
   cube::CubeSolveOptions cube_options;
-  cube_options.pool.num_workers = std::max(1, opts.workers);
+  cube_options.pool.num_workers = opts.workers;
   cube_options.pool.deterministic = opts.deterministic;
-  cube_options.gen.target_cubes = std::max(1, opts.cubes);
+  cube_options.gen.target_cubes = opts.cubes;
   cube_options.solver = opts.solver == "minisat"
                             ? sat::SolverOptions::MiniSatLike()
                             : sat::SolverOptions::SiegeLike();
@@ -416,17 +431,6 @@ int CmdRouteCube(const CliOptions& opts, const LoadedBenchmark& loaded) {
               static_cast<unsigned long long>(result.solver_stats.conflicts),
               static_cast<unsigned long long>(
                   result.solver_stats.propagations));
-  // Exchange health: exported/imported are the useful flow; dropped-full
-  // and torn-read discards climbing toward `exported` mean the ring is
-  // undersized (or readers are too slow) and sharing is mostly wasted work.
-  const sat::ClauseExchange::Totals& ex = result.exchange_totals;
-  std::printf("exchange: %llu exported, %llu imported, %llu dropped-full, "
-              "%llu torn-read discarded\n",
-              static_cast<unsigned long long>(ex.published),
-              static_cast<unsigned long long>(ex.collected),
-              static_cast<unsigned long long>(ex.evicted +
-                                              ex.oversize_dropped),
-              static_cast<unsigned long long>(ex.torn_reads));
   for (std::size_t w = 0; w < result.worker_loads.size(); ++w) {
     const cube::CubeWorkerPool::WorkerLoad& load = result.worker_loads[w];
     std::printf("worker %zu: %.3fs busy, %zu cube(s), %zu steal(s)\n", w,
@@ -466,17 +470,12 @@ int CmdRoute(const CliOptions& opts) {
               result.cnf_vars, result.cnf_clauses,
               static_cast<unsigned long long>(
                   result.solver_stats.conflicts));
-  std::printf("stats: %llu propagations (%llu binary, %.2f Mprops/s), "
-              "%llu imported, %llu exported\n",
+  std::printf("stats: %llu propagations (%llu binary, %.2f Mprops/s)\n",
               static_cast<unsigned long long>(
                   result.solver_stats.propagations),
               static_cast<unsigned long long>(
                   result.solver_stats.binary_propagations),
-              result.solver_stats.PropagationsPerSecond() / 1e6,
-              static_cast<unsigned long long>(
-                  result.solver_stats.imported_clauses),
-              static_cast<unsigned long long>(
-                  result.solver_stats.exported_clauses));
+              result.solver_stats.PropagationsPerSecond() / 1e6);
   PrintSolverDetail(result.solver_stats);
   if (result.status == sat::SolveResult::kSat) {
     std::string error;
@@ -776,7 +775,7 @@ int CmdServe(const CliOptions& opts) {
   }
 
   service::ServiceOptions service_options;
-  service_options.scheduler.num_workers = std::max(1, opts.workers);
+  service_options.scheduler.num_workers = opts.workers;
   service_options.timeout_seconds = opts.timeout;
   service::RoutingService svc(service_options);
   std::printf("serve: %d worker(s), trace %s\n", svc.num_workers(),
@@ -871,7 +870,11 @@ int CmdServe(const CliOptions& opts) {
         const std::string key = kv.substr(0, eq);
         const std::string value = kv.substr(eq + 1);
         if (key == "prio") {
-          request.priority = std::atoi(value.c_str());
+          const std::optional<int> priority = ParseInt(value);
+          if (!priority) {
+            return trace_error("prio '" + value + "' is not an integer");
+          }
+          request.priority = *priority;
         } else if (key == "enc") {
           request.encoding = value;
         } else if (key == "sym") {

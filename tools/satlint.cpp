@@ -9,9 +9,7 @@
 //                                     graph, encode, and lint the result
 //   satlint report <file.jsonl>       lint a `satfr --report` run report
 //                                     (telemetry-consistency: observer
-//                                     totals vs solver-window stats;
-//                                     exchange-conservation: clause-
-//                                     exchange reader ledger)
+//                                     totals vs solver-window stats)
 //   satlint sources <file...>         scan source files (mc-coverage: the
 //                                     lock-free layers must route atomics
 //                                     and mutexes through the mc:: shim)
@@ -44,6 +42,7 @@
 #include <vector>
 
 #include "analysis/runner.h"
+#include "common/strings.h"
 #include "encode/csp_to_cnf.h"
 #include "encode/net_group.h"
 #include "obs/run_report.h"
@@ -108,7 +107,14 @@ LintOptions ParseArgs(int argc, char** argv) {
     } else if (arg == "--sym") {
       opts.sym = next();
     } else if (arg == "--width") {
-      opts.width = std::atoi(next().c_str());
+      const std::string text = next();
+      const std::optional<int> width = ParseInt(text);
+      if (!width) {
+        std::fprintf(stderr, "--width: '%s' is not an integer\n",
+                     text.c_str());
+        std::exit(2);
+      }
+      opts.width = *width;
     } else if (arg == "--json") {
       opts.json = true;
     } else if (arg == "--grouped") {
