@@ -184,7 +184,6 @@ struct ServiceRunResult {
   std::uint64_t verdict_lookups = 0;
   std::uint64_t verdict_hits = 0;
   std::uint64_t instance_hits = 0;
-  std::uint64_t summary_hits = 0;
   std::uint64_t latency_p50_us = 0;
   std::uint64_t latency_p95_us = 0;
   std::uint64_t latency_p99_us = 0;
@@ -206,10 +205,8 @@ ServiceRunResult RunService(const std::vector<bench::Instance>& instances,
   // Graphs are shared across events; sessions open outside the timed
   // region (their one-time encode is the price of admission, not traffic).
   std::vector<std::shared_ptr<const graph::Graph>> graphs;
-  std::vector<std::uint64_t> fingerprints;
   for (const bench::Instance& inst : instances) {
     graphs.push_back(std::make_shared<graph::Graph>(inst.conflict));
-    fingerprints.push_back(service::FingerprintGraph(inst.conflict));
   }
   for (std::size_t i = 0; i < instances.size(); ++i) {
     const int max_width =
@@ -237,8 +234,6 @@ ServiceRunResult RunService(const std::vector<bench::Instance>& instances,
         service::RouteRequest request;
         request.label = inst.name;
         request.graph = graphs[static_cast<std::size_t>(e.instance)];
-        request.fingerprint =
-            fingerprints[static_cast<std::size_t>(e.instance)];
         request.width = e.width;
         request.encoding = "muldirect";
         request.symmetry = "none";
@@ -289,7 +284,6 @@ ServiceRunResult RunService(const std::vector<bench::Instance>& instances,
   out.verdict_lookups = stats.verdicts.lookups;
   out.verdict_hits = stats.verdicts.hits;
   out.instance_hits = stats.instances.hits;
-  out.summary_hits = stats.summary_hits;
   const obs::MetricsSnapshot snapshot = registry.Snapshot();
   if (const obs::MetricSnapshot* h = snapshot.Find("service.latency_us")) {
     out.latency_p50_us = h->ApproxPercentile(0.50);
@@ -478,7 +472,6 @@ int main(int argc, char** argv) {
     o.emplace_back("verdict_hits", obs::JsonValue(r.verdict_hits));
     o.emplace_back("verdict_lookups", obs::JsonValue(r.verdict_lookups));
     o.emplace_back("instance_hits", obs::JsonValue(r.instance_hits));
-    o.emplace_back("summary_hits", obs::JsonValue(r.summary_hits));
     o.emplace_back("latency_p50_us", obs::JsonValue(r.latency_p50_us));
     o.emplace_back("latency_p95_us", obs::JsonValue(r.latency_p95_us));
     o.emplace_back("latency_p99_us", obs::JsonValue(r.latency_p99_us));

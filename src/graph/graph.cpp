@@ -57,6 +57,11 @@ std::vector<std::pair<VertexId, VertexId>> Graph::Edges() const {
   return edges;
 }
 
+bool Graph::operator==(const Graph& other) const {
+  return num_vertices() == other.num_vertices() &&
+         num_edges_ == other.num_edges_ && Edges() == other.Edges();
+}
+
 bool Graph::IsProperColoring(const std::vector<int>& colors,
                              int num_colors) const {
   if (colors.size() != static_cast<std::size_t>(num_vertices())) return false;

@@ -59,6 +59,10 @@ class Graph {
   /// coloring passes this check (encode::DecodeProperColoring).
   bool IsProperColoring(const std::vector<int>& colors, int num_colors) const;
 
+  /// Structural equality: same vertex count and the same edge set, however
+  /// the edges were added.
+  bool operator==(const Graph& other) const;
+
  private:
   std::vector<std::vector<VertexId>> adjacency_;
   std::size_t num_edges_ = 0;

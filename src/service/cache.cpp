@@ -18,11 +18,23 @@ std::uint64_t FingerprintGraph(const graph::Graph& g) {
     mix(static_cast<std::uint64_t>(u) << 32 | static_cast<std::uint32_t>(v));
   }
   // Avalanche so near-identical graphs (one edge apart) spread across
-  // shards and summary slots.
+  // shards.
   h ^= h >> 33;
   h *= 0xc4ceb9fe1a85ec53ULL;
   h ^= h >> 33;
   return h;
+}
+
+bool CacheKey::operator==(const CacheKey& other) const {
+  if (fingerprint != other.fingerprint || width != other.width ||
+      encoding != other.encoding || symmetry != other.symmetry ||
+      solver != other.solver) {
+    return false;
+  }
+  // Pointer equality is the fast path: callers that share one graph per
+  // instance never pay for the structural compare.
+  if (graph == other.graph) return true;
+  return graph != nullptr && other.graph != nullptr && *graph == *other.graph;
 }
 
 std::string CacheKey::ToString() const {

@@ -50,12 +50,10 @@ RoutingService::RoutingService(const ServiceOptions& options)
     : options_(options),
       verdicts_(options.verdict_cache),
       instances_(options.instance_cache),
-      summaries_(options.summary_slots),
       scheduler_(options.scheduler) {
   obs::MetricsRegistry& m = metrics();
   id_requests_ = m.Counter("service.requests");
   id_session_ops_ = m.Counter("service.session_ops");
-  id_summary_hits_ = m.Counter("service.summary_hits");
   id_verdict_hits_ = m.Counter("service.verdict_hits");
   id_instance_hits_ = m.Counter("service.instance_hits");
   id_latency_us_ = m.Histogram("service.latency_us");
@@ -101,17 +99,16 @@ void RoutingService::PublishSettle(Pending& pending) {
 }
 
 RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
-  if (request.fingerprint == 0 && request.graph != nullptr) {
-    request.fingerprint = FingerprintGraph(*request.graph);
-  }
+  const std::uint64_t fingerprint =
+      request.graph != nullptr ? FingerprintGraph(*request.graph) : 0;
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_requests_);
   const Ticket ticket = NewTicket(RequestKind::kRoute, false);
   Pending* pending = PendingRef(ticket.id);
   auto shared = std::make_shared<RouteRequest>(std::move(request));
   pending->handle = scheduler_.Submit(
-      [this, shared, pending](const mc::Atomic<bool>& cancel) {
-        ExecuteRoute(*shared, *pending, cancel);
+      [this, shared, fingerprint, pending](const mc::Atomic<bool>& cancel) {
+        ExecuteRoute(*shared, fingerprint, *pending, cancel);
       },
       shared->priority);
   return ticket;
@@ -199,7 +196,7 @@ void RoutingService::Drain() {
 }
 
 void RoutingService::ExecuteRoute(const RouteRequest& request,
-                                  Pending& pending,
+                                  std::uint64_t fingerprint, Pending& pending,
                                   const mc::Atomic<bool>& cancel) {
   Response& r = pending.response;
   obs::MetricsRegistry& m = metrics();
@@ -230,25 +227,10 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       break;
     }
 
-    const CacheKey verdict_key{request.fingerprint, request.width,
-                               request.encoding, request.symmetry,
-                               request.solver};
-    const std::uint64_t verdict_hash = verdict_key.Hash();
+    const CacheKey verdict_key{request.graph,    fingerprint,
+                               request.width,    request.encoding,
+                               request.symmetry, request.solver};
     if (options_.cache_verdicts) {
-      // Fast path: the lock-free summary fully answers UNSAT repeats (no
-      // tracks to fetch). 64-bit hash match stands in for key equality —
-      // the same tradeoff the summary-table collision policy documents.
-      VerdictSummary summary;
-      if (summaries_.Probe(verdict_hash, &summary) &&
-          static_cast<sat::SolveResult>(summary.status) ==
-              sat::SolveResult::kUnsat) {
-        r.status = sat::SolveResult::kUnsat;
-        r.summary_hit = true;
-        r.verdict_hit = true;
-        stat_summary_hits_.fetch_add(1, std::memory_order_relaxed);
-        m.Add(id_summary_hits_);
-        break;
-      }
       if (const auto verdict = verdicts_.Lookup(verdict_key)) {
         r.status = verdict->status;
         r.tracks = verdict->tracks;
@@ -258,9 +240,9 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       }
     }
 
-    const CacheKey instance_key{request.fingerprint, request.width,
-                                request.encoding, request.symmetry,
-                                /*solver=*/""};
+    const CacheKey instance_key{request.graph,    fingerprint,
+                                request.width,    request.encoding,
+                                request.symmetry, /*solver=*/""};
     std::shared_ptr<const encode::EncodedColoring> instance;
     if (options_.cache_instances) {
       instance = instances_.Lookup(instance_key);
@@ -318,15 +300,9 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       auto entry = std::make_shared<VerdictEntry>();
       entry->status = result.status;
       entry->tracks = result.tracks;
-      entry->cold_solve_seconds = result.solve_seconds;
-      entry->cold_encode_seconds = r.encode_seconds;
-      entry->graph = request.graph;
       const std::size_t bytes =
           sizeof(VerdictEntry) + entry->tracks.size() * sizeof(int);
       verdicts_.Insert(verdict_key, entry, bytes);
-      summaries_.Publish(VerdictSummary{
-          verdict_hash, static_cast<std::int32_t>(result.status),
-          request.width, result.solve_seconds});
     }
   } while (false);
   if (ClaimSettle(pending)) PublishSettle(pending);
@@ -527,7 +503,6 @@ ServiceStats RoutingService::stats() const {
   stats.verdicts = verdicts_.stats();
   stats.instances = instances_.stats();
   stats.requests = stat_requests_.load(std::memory_order_relaxed);
-  stats.summary_hits = stat_summary_hits_.load(std::memory_order_relaxed);
   stats.session_ops = stat_session_ops_.load(std::memory_order_relaxed);
   {
     mc::MutexLock lock(sessions_mutex_);
@@ -540,7 +515,7 @@ std::vector<analysis::CoherenceSample> RoutingService::SampleCoherence(
     std::size_t max_samples, std::uint64_t seed) const {
   std::vector<analysis::CoherenceSample> samples;
   for (const auto& entry : verdicts_.Sample(max_samples, seed)) {
-    if (entry.value == nullptr || entry.value->graph == nullptr) continue;
+    if (entry.value == nullptr || entry.key.graph == nullptr) continue;
     analysis::CoherenceSample sample;
     sample.key = entry.key.ToString();
     sample.cached_verdict = sat::ToString(entry.value->status);
@@ -557,11 +532,11 @@ std::vector<analysis::CoherenceSample> RoutingService::SampleCoherence(
     route_options.timeout_seconds = options_.timeout_seconds;
     route_options.run_label = "coherence:" + entry.key.ToString();
     const flow::DetailedRouteResult fresh = flow::RouteDetailedOnGraph(
-        *entry.value->graph, entry.key.width, route_options);
+        *entry.key.graph, entry.key.width, route_options);
     sample.fresh_verdict = sat::ToString(fresh.status);
     if (entry.value->status == sat::SolveResult::kSat) {
       sample.tracks_checked = true;
-      sample.tracks_valid = entry.value->graph->IsProperColoring(
+      sample.tracks_valid = entry.key.graph->IsProperColoring(
           entry.value->tracks, entry.key.width);
     }
     samples.push_back(std::move(sample));

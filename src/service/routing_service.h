@@ -4,13 +4,14 @@
 //
 // Request path, in decreasing order of cheapness:
 //
-//   1. Seqlock summary probe (lock-free) — answers repeat UNSAT queries.
-//   2. Verdict-cache hit (one shard mutex) — answers any repeat query.
-//   3. Instance-cache hit — skips symmetry + encode; the cached CNF loads
+//   1. Verdict-cache hit (one shard mutex) — answers any repeat query.
+//   2. Instance-cache hit — skips symmetry + encode; the cached CNF loads
 //      into a fresh solver via DetailedRouteOptions::reuse_encoding.
-//   4. Full miss — encode once (materialized into the instance cache),
-//      solve, publish the verdict to both the locked tier and the summary
-//      table.
+//   3. Full miss — encode once (materialized into the instance cache),
+//      solve, insert the verdict.
+//
+// Both tiers key on the conflict graph itself (CacheKey), hashed by its
+// fingerprint, so a hit is always an answer for an equal graph.
 //
 // Every solve, hit or miss, goes through flow::RouteDetailedOnGraph, so
 // the service inherits the flow's telemetry (trace spans, run records,
@@ -55,7 +56,6 @@ struct ServiceOptions {
   CacheTierOptions instance_cache{/*num_shards=*/8,
                                   /*max_entries_per_shard=*/32,
                                   /*max_bytes_per_shard=*/64u << 20};
-  std::size_t summary_slots = 1024;
   bool cache_verdicts = true;
   bool cache_instances = true;
   /// Per-request wall-clock budget (overridable per request); <= 0 means
@@ -76,8 +76,6 @@ struct RouteRequest {
   std::string solver = "siege";  // "siege" or "minisat"
   int priority = 0;
   double timeout_seconds = -1.0;  // < 0: use ServiceOptions::timeout_seconds
-  /// Precomputed FingerprintGraph(*graph); 0 computes it at submit.
-  std::uint64_t fingerprint = 0;
 };
 
 /// What kind of work a ticket tracks.
@@ -95,8 +93,7 @@ struct Response {
   double encode_seconds = 0.0;
   /// Session delta ops: emission/apply cost inside the resident solver.
   double apply_seconds = 0.0;
-  bool summary_hit = false;   // answered by the lock-free seqlock front
-  bool verdict_hit = false;   // answered by the verdict tier (incl. summary)
+  bool verdict_hit = false;   // answered by the verdict tier
   bool instance_hit = false;  // encode skipped via the instance tier
   bool cancelled = false;
   bool ok = true;             // false: malformed request / session error
@@ -108,6 +105,10 @@ struct ServiceStats {
   CacheTierStats verdicts;
   CacheTierStats instances;
   std::uint64_t requests = 0;
+  /// Always 0: every repeat is answered by the verdict tier. The field stays
+  /// only because perfbench's service_mix still reads it; the benchmark
+  /// change of ROADMAP item 1 removes that last reader, and this field
+  /// with it.
   std::uint64_t summary_hits = 0;
   std::uint64_t session_ops = 0;
   std::uint64_t sessions_open = 0;
@@ -173,13 +174,10 @@ class RoutingService {
       std::size_t max_samples, std::uint64_t seed = 1) const;
 
  private:
-  /// A cached verdict plus everything needed to audit it later.
+  /// A cached verdict; its key holds the graph it answered for.
   struct VerdictEntry {
     sat::SolveResult status = sat::SolveResult::kUnknown;
     std::vector<int> tracks;
-    double cold_solve_seconds = 0.0;
-    double cold_encode_seconds = 0.0;
-    std::shared_ptr<const graph::Graph> graph;
   };
 
   struct SessionOp {
@@ -222,14 +220,14 @@ class RoutingService {
   void PublishSettle(Pending& pending);
   Ticket SubmitSessionOp(const std::string& client, SessionOp op);
   void PumpSession(const std::shared_ptr<Session>& session);
-  void ExecuteRoute(const RouteRequest& request, Pending& pending,
-                    const mc::Atomic<bool>& cancel);
+  /// `fingerprint` is FingerprintGraph(*request.graph), taken at Submit.
+  void ExecuteRoute(const RouteRequest& request, std::uint64_t fingerprint,
+                    Pending& pending, const mc::Atomic<bool>& cancel);
   void ExecuteSessionOp(Session& session, const SessionOp& op);
 
   const ServiceOptions options_;
   ShardedLruCache<VerdictEntry> verdicts_;
   ShardedLruCache<encode::EncodedColoring> instances_;
-  VerdictSummaryTable summaries_;
 
   mutable mc::Mutex pending_mutex_;
   // deque: append-only; workers hold Pending* across later submissions.
@@ -240,13 +238,11 @@ class RoutingService {
       SATFR_GUARDED_BY(sessions_mutex_);
 
   mc::Atomic<std::uint64_t> stat_requests_{0};
-  mc::Atomic<std::uint64_t> stat_summary_hits_{0};
   mc::Atomic<std::uint64_t> stat_session_ops_{0};
 
   // Resolved once against metrics() (service.* namespace); latencies in µs.
   obs::MetricId id_requests_;
   obs::MetricId id_session_ops_;
-  obs::MetricId id_summary_hits_;
   obs::MetricId id_verdict_hits_;
   obs::MetricId id_instance_hits_;
   obs::MetricId id_latency_us_;

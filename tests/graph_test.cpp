@@ -108,5 +108,25 @@ TEST(GraphTest, ProperColoringOnEdgelessGraph) {
   EXPECT_TRUE(g.IsProperColoring({0, 0, 0}, 1));
 }
 
+TEST(GraphTest, EqualityIsStructural) {
+  Graph a(4);
+  a.AddEdge(0, 1);
+  a.AddEdge(2, 3);
+  a.AddEdge(1, 2);
+  Graph b(4);  // same edges, other order and orientation
+  b.AddEdge(2, 1);
+  b.AddEdge(3, 2);
+  b.AddEdge(1, 0);
+  EXPECT_TRUE(a == b);
+
+  Graph extra_edge = b;
+  extra_edge.AddEdge(0, 3);
+  EXPECT_FALSE(a == extra_edge);
+
+  Graph extra_vertex = b;
+  extra_vertex.AddVertex();
+  EXPECT_FALSE(a == extra_vertex);
+}
+
 }  // namespace
 }  // namespace satfr::graph

@@ -1,6 +1,6 @@
 // Litmus suite for the concurrency model checker (src/mc) and the
-// lock-free layers it guards: the Chase-Lev deque, the service cache's
-// seqlocked summary slots, and the sharded metrics registry.
+// lock-free layers it guards: the Chase-Lev deque and the sharded metrics
+// registry.
 //
 // Two kinds of tests live here:
 //
@@ -13,8 +13,7 @@
 //     weak and every litmus below would false-positive.
 //
 //   * Property litmus tests on the real production structures: no cube
-//     lost or popped twice, no torn or stale cache summary, and metrics
-//     snapshot totals conserved. These
+//     lost or popped twice, and metrics snapshot totals conserved. These
 //     compile and run in BOTH build modes: under SATFR_MODEL_CHECK the
 //     body is explored across interleavings; in a normal build mc::Check
 //     degrades to a single real-thread run, so the suite doubles as a
@@ -36,7 +35,6 @@
 #include "mc/model_check.h"
 #include "mc/shim.h"
 #include "obs/metrics.h"
-#include "service/cache.h"
 
 namespace satfr {
 namespace {
@@ -420,112 +418,6 @@ TEST(McMetricsLitmus, SnapshotTotalsConserved) {
         const obs::MetricSnapshot* g = snap.Find("litmus.gauge");
         MC_CHECK(g != nullptr && (g->gauge == 5 || g->gauge == 7),
                  "gauge is not last-write-wins");
-      },
-      opts);
-  EXPECT_TRUE(res.ok) << res.FailureSummary();
-}
-
-// ---------------------------------------------------------------------------
-// Service verdict-cache seqlock: no torn and no stale-generation read.
-// ---------------------------------------------------------------------------
-
-// Writer publishes two self-correlated summaries through one slot while a
-// reader probes concurrently. Payload pattern: publish i carries
-// key_hash = 100 + i, status = i, width = 10 * i — any mix of words from
-// two publishes (torn read) or a generation paired with older words
-// (stale read, the PUBLISH_RELEASE mutation) breaks a correlation. The
-// exact body must FAIL in tests/mc_cache_mutation_test.cpp.
-void SeqlockNoTornNoStaleBody() {
-  auto slot =
-      std::make_shared<service::SeqlockedSlot<service::VerdictSummary>>();
-  mc::Thread writer([slot] {
-    for (std::int32_t i = 1; i <= 2; ++i) {
-      service::VerdictSummary s;
-      s.key_hash = 100 + static_cast<std::uint64_t>(i);
-      s.status = i;
-      s.width = 10 * i;
-      s.cold_solve_seconds = i;
-      slot->Publish(s);
-    }
-  });
-  mc::Thread reader([slot] {
-    service::VerdictSummary out;
-    for (int round = 0; round < 3; ++round) {
-      if (slot->TryRead(&out)) {
-        const std::int32_t i = out.status;
-        MC_CHECK(i == 1 || i == 2, "stale read: unpublished payload");
-        MC_CHECK(out.key_hash == 100 + static_cast<std::uint64_t>(i),
-                 "torn read: key from a different publish");
-        MC_CHECK(out.width == 10 * i,
-                 "torn read: width from a different publish");
-        MC_CHECK(out.cold_solve_seconds == static_cast<double>(i),
-                 "torn read: timing from a different publish");
-      }
-      mc::Yield();
-    }
-  });
-  writer.Join();
-  reader.Join();
-  // Join gives the root happens-before over the final publish: the read
-  // must now succeed and carry the second summary in full.
-  service::VerdictSummary final_read;
-  MC_CHECK(slot->TryRead(&final_read), "settled slot unreadable");
-  MC_CHECK(final_read.status == 2 && final_read.key_hash == 102 &&
-               final_read.width == 20,
-           "settled slot lost the last publish");
-}
-
-TEST(McCacheLitmus, SeqlockDeliversNoTornOrStaleSummary) {
-  mc::ModelCheckOptions opts;
-  opts.max_preemptions = 2;
-  opts.max_stale_reads = 2;
-  opts.max_exhaustive_schedules = 4000;
-  opts.random_schedules = 300;
-  const mc::ModelCheckResult res = mc::Check(SeqlockNoTornNoStaleBody, opts);
-  EXPECT_TRUE(res.ok) << res.FailureSummary();
-}
-
-// The full front door: serialized publishers (the table's publish mutex)
-// against a lock-free prober. A true probe must return the probed key's
-// own coherent payload even while the colliding slot is being overwritten.
-TEST(McCacheLitmus, SummaryTableProbeNeverLiesUnderOverwrite) {
-  mc::ModelCheckOptions opts;
-  opts.max_preemptions = 2;
-  opts.max_stale_reads = 2;
-  opts.max_exhaustive_schedules = 3000;
-  opts.random_schedules = 200;
-  const mc::ModelCheckResult res = mc::Check(
-      [] {
-        // One slot: both keys collide, so every publish overwrites.
-        auto table = std::make_shared<service::VerdictSummaryTable>(1);
-        mc::Thread writer_a([table] {
-          service::VerdictSummary s;
-          s.key_hash = 8;
-          s.status = 1;
-          s.width = 18;
-          table->Publish(s);
-        });
-        mc::Thread writer_b([table] {
-          service::VerdictSummary s;
-          s.key_hash = 9;
-          s.status = 2;
-          s.width = 29;
-          table->Publish(s);
-        });
-        mc::Thread prober([table] {
-          service::VerdictSummary out;
-          for (int round = 0; round < 2; ++round) {
-            if (table->Probe(8, &out)) {
-              MC_CHECK(out.key_hash == 8 && out.status == 1 &&
-                           out.width == 18,
-                       "probe returned another key's payload");
-            }
-            mc::Yield();
-          }
-        });
-        writer_a.Join();
-        writer_b.Join();
-        prober.Join();
       },
       opts);
   EXPECT_TRUE(res.ok) << res.FailureSummary();

@@ -1,6 +1,6 @@
 // Functional tests for src/service: the cache tiers and their keys, the
 // job scheduler, the routing service end-to-end (verdict equivalence with
-// the direct flow, all three hit paths, kUnknown never cached), per-client
+// the direct flow, both hit paths, kUnknown never cached), per-client
 // sessions, and the service-cache-coherence satlint pass.
 
 #include <gtest/gtest.h>
@@ -62,7 +62,8 @@ TEST(FingerprintGraph, SensitiveToEdgesAndVertexCount) {
 }
 
 TEST(CacheKey, HashAndEqualitySeparateEveryField) {
-  const CacheKey base{1234, 4, "muldirect", "none", "siege"};
+  const auto g = std::make_shared<const graph::Graph>(Triangle());
+  const CacheKey base{g, 1234, 4, "muldirect", "none", "siege"};
   CacheKey other = base;
   EXPECT_TRUE(base == other);
   EXPECT_EQ(base.Hash(), other.Hash());
@@ -82,68 +83,18 @@ TEST(CacheKey, HashAndEqualitySeparateEveryField) {
 }
 
 TEST(CacheKey, ToStringNamesTheInstance) {
-  const CacheKey key{0xabc, 7, "muldirect", "s1", "siege"};
+  const CacheKey key{nullptr, 0xabc, 7, "muldirect", "s1", "siege"};
   const std::string s = key.ToString();
   EXPECT_NE(s.find("W7"), std::string::npos) << s;
   EXPECT_NE(s.find("muldirect"), std::string::npos) << s;
   EXPECT_NE(s.find("siege"), std::string::npos) << s;
 }
 
-// --- seqlock slot and summary table ---------------------------------------
-
-TEST(SeqlockedSlot, NeverPublishedReadsFalse) {
-  SeqlockedSlot<VerdictSummary> slot;
-  VerdictSummary out;
-  EXPECT_FALSE(slot.TryRead(&out));
-}
-
-TEST(SeqlockedSlot, RoundTripsAndOverwrites) {
-  SeqlockedSlot<VerdictSummary> slot;
-  VerdictSummary in;
-  in.key_hash = 42;
-  in.status = 2;
-  in.width = 9;
-  in.cold_solve_seconds = 1.5;
-  slot.Publish(in);
-  VerdictSummary out;
-  ASSERT_TRUE(slot.TryRead(&out));
-  EXPECT_EQ(out.key_hash, 42u);
-  EXPECT_EQ(out.status, 2);
-  EXPECT_EQ(out.width, 9);
-  EXPECT_DOUBLE_EQ(out.cold_solve_seconds, 1.5);
-
-  in.key_hash = 43;
-  in.width = 11;
-  slot.Publish(in);
-  ASSERT_TRUE(slot.TryRead(&out));
-  EXPECT_EQ(out.key_hash, 43u);
-  EXPECT_EQ(out.width, 11);
-}
-
-TEST(VerdictSummaryTable, ProbeMatchesOnlyItsKeyHash) {
-  VerdictSummaryTable table(/*slots=*/4);
-  EXPECT_EQ(table.num_slots(), 4u);
-  VerdictSummary out;
-  EXPECT_FALSE(table.Probe(21, &out));
-
-  VerdictSummary in;
-  in.key_hash = 21;
-  in.status = 1;
-  table.Publish(in);
-  ASSERT_TRUE(table.Probe(21, &out));
-  EXPECT_EQ(out.key_hash, 21u);
-
-  // Same slot (21 % 4 == 25 % 4), different key: the hash check rejects.
-  EXPECT_FALSE(table.Probe(25, &out));
-  in.key_hash = 25;
-  table.Publish(in);
-  EXPECT_TRUE(table.Probe(25, &out));
-  EXPECT_FALSE(table.Probe(21, &out));  // overwritten by the collision
-}
-
 // --- sharded LRU -----------------------------------------------------------
 
-CacheKey KeyW(int width) { return CacheKey{99, width, "e", "s", ""}; }
+CacheKey KeyW(int width) {
+  return CacheKey{nullptr, 99, width, "e", "s", ""};
+}
 
 TEST(ShardedLruCache, LookupPromotesAndCountsHits) {
   CacheTierOptions options{/*num_shards=*/1, /*max_entries_per_shard=*/4,
@@ -225,6 +176,46 @@ TEST(ShardedLruCache, SampleIsDeterministicAndBounded) {
     EXPECT_TRUE(a[i].key == b[i].key);
   }
   EXPECT_EQ(cache.Sample(100, 7).size(), 12u);
+}
+
+TEST(ShardedLruCache, DistinctGraphsUnderOneFingerprintNeverAlias) {
+  // A forged shared fingerprint: the triangle at W=2 is UNSAT, the
+  // edgeless graph at W=2 is SAT, so an alias would be a wrong answer.
+  ShardedLruCache<int> cache(CacheTierOptions{1, 4, 1u << 20});
+  const auto triangle = std::make_shared<const graph::Graph>(Triangle());
+  const auto edgeless = std::make_shared<const graph::Graph>(3);
+  const CacheKey cached{triangle, 7, 2, "e", "s", ""};
+  const CacheKey probe{edgeless, 7, 2, "e", "s", ""};
+  ASSERT_EQ(cached.Hash(), probe.Hash());
+  EXPECT_FALSE(cached == probe);
+
+  cache.Insert(cached, std::make_shared<const int>(1), 1);
+  EXPECT_EQ(cache.Lookup(probe), nullptr);
+  // The colliding insert leaves the resident answer alone.
+  cache.Insert(probe, std::make_shared<const int>(2), 1);
+  EXPECT_EQ(cache.Lookup(probe), nullptr);
+  const auto resident = cache.Lookup(cached);
+  ASSERT_NE(resident, nullptr);
+  EXPECT_EQ(*resident, 1);
+  EXPECT_FALSE(cache.Erase(probe));
+}
+
+TEST(ShardedLruCache, StructurallyEqualGraphsStillHit) {
+  ShardedLruCache<int> cache(CacheTierOptions{1, 4, 1u << 20});
+  graph::Graph reordered(3);  // the triangle, edges added in another order
+  reordered.AddEdge(2, 0);
+  reordered.AddEdge(2, 1);
+  reordered.AddEdge(1, 0);
+  const auto a = std::make_shared<const graph::Graph>(Triangle());
+  const auto b = std::make_shared<const graph::Graph>(reordered);
+  const CacheKey key_a{a, FingerprintGraph(*a), 3, "e", "s", ""};
+  const CacheKey key_b{b, FingerprintGraph(*b), 3, "e", "s", ""};
+  EXPECT_TRUE(key_a == key_b);
+
+  cache.Insert(key_a, std::make_shared<const int>(5), 1);
+  const auto v = cache.Lookup(key_b);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(*v, 5);
 }
 
 // --- scheduler -------------------------------------------------------------
@@ -378,23 +369,42 @@ TEST(RoutingService, RepeatQueriesHitTheVerdictTiers) {
   ASSERT_EQ(cold.status, sat::SolveResult::kUnsat);
   EXPECT_FALSE(cold.verdict_hit);
 
-  // UNSAT repeat: served by the lock-free summary front.
   const Response& warm = svc.Wait(svc.Submit(TriangleRequest(g, 2)));
   EXPECT_EQ(warm.status, sat::SolveResult::kUnsat);
   EXPECT_TRUE(warm.verdict_hit);
-  EXPECT_TRUE(warm.summary_hit);
 
-  // SAT repeat: tracks live only in the locked tier.
   svc.Wait(svc.Submit(TriangleRequest(g, 3)));
   const Response& warm_sat = svc.Wait(svc.Submit(TriangleRequest(g, 3)));
   EXPECT_EQ(warm_sat.status, sat::SolveResult::kSat);
   EXPECT_TRUE(warm_sat.verdict_hit);
-  EXPECT_FALSE(warm_sat.summary_hit);
-  EXPECT_FALSE(warm_sat.tracks.empty());
+  EXPECT_TRUE(g->IsProperColoring(warm_sat.tracks, 3));
 
   const ServiceStats stats = svc.stats();
   EXPECT_EQ(stats.requests, 4u);
-  EXPECT_GE(stats.verdicts.hits + stats.summary_hits, 2u);
+  EXPECT_EQ(stats.verdicts.hits, 2u);
+}
+
+TEST(RoutingService, EqualGraphFromAFreshPointerHitsButADifferentOneMisses) {
+  ServiceOptions options;
+  options.scheduler.num_workers = 1;
+  RoutingService svc(options);
+  const auto g = std::make_shared<const graph::Graph>(TriangleLadder());
+  ASSERT_EQ(svc.Wait(svc.Submit(TriangleRequest(g, 2))).status,
+            sat::SolveResult::kUnsat);
+
+  const auto copy = std::make_shared<const graph::Graph>(TriangleLadder());
+  const Response& repeat = svc.Wait(svc.Submit(TriangleRequest(copy, 2)));
+  EXPECT_TRUE(repeat.verdict_hit);
+  EXPECT_EQ(repeat.status, sat::SolveResult::kUnsat);
+
+  // Same vertex count and width, but a path: 2-colorable, so it must be
+  // solved, not answered from the ladder's entry.
+  graph::Graph path(8);
+  for (graph::VertexId i = 0; i + 1 < 8; ++i) path.AddEdge(i, i + 1);
+  const Response& other = svc.Wait(svc.Submit(
+      TriangleRequest(std::make_shared<const graph::Graph>(path), 2)));
+  EXPECT_FALSE(other.verdict_hit);
+  EXPECT_EQ(other.status, sat::SolveResult::kSat);
 }
 
 TEST(RoutingService, SolverPresetChangesVerdictKeyButSharesInstance) {

@@ -781,8 +781,9 @@ int CmdServe(const CliOptions& opts) {
   std::printf("serve: %d worker(s), trace %s\n", svc.num_workers(),
               trace_path.c_str());
 
-  // Benchmarks load lazily, once, and their conflict graphs are shared
-  // (the service keys its caches on the graph fingerprint, not identity).
+  // Benchmarks load lazily, once, and their conflict graphs are shared: the
+  // service keys its caches on the graph itself, so a shared pointer makes
+  // every repeat's key compare a pointer instead of two edge lists.
   std::unordered_map<std::string, std::shared_ptr<const graph::Graph>> graphs;
   std::unordered_map<std::string, int> peaks;
   auto graph_for = [&](const std::string& name)
@@ -815,10 +816,9 @@ int CmdServe(const CliOptions& opts) {
       }
       if (r.kind == service::RequestKind::kRoute) {
         route_latency.push_back(r.latency_seconds);
-        std::printf("%s: %s in %.0fus%s%s%s%s\n", out.what.c_str(),
+        std::printf("%s: %s in %.0fus%s%s%s\n", out.what.c_str(),
                     sat::ToString(r.status), r.latency_seconds * 1e6,
-                    r.summary_hit ? " [summary]" : "",
-                    r.verdict_hit && !r.summary_hit ? " [verdict]" : "",
+                    r.verdict_hit ? " [verdict]" : "",
                     r.instance_hit ? " [instance]" : "",
                     r.cancelled ? " [cancelled]" : "");
       } else {
@@ -954,12 +954,10 @@ int CmdServe(const CliOptions& opts) {
                 Percentile(route_latency, 0.95) * 1e6,
                 Percentile(route_latency, 0.99) * 1e6);
   }
-  std::printf("verdict cache: %llu/%llu hit(s) (+%llu lock-free summary), "
-              "%llu resident; instance cache: %llu/%llu hit(s), %llu "
-              "resident\n",
+  std::printf("verdict cache: %llu/%llu hit(s), %llu resident; instance "
+              "cache: %llu/%llu hit(s), %llu resident\n",
               static_cast<unsigned long long>(stats.verdicts.hits),
               static_cast<unsigned long long>(stats.verdicts.lookups),
-              static_cast<unsigned long long>(stats.summary_hits),
               static_cast<unsigned long long>(stats.verdicts.entries),
               static_cast<unsigned long long>(stats.instances.hits),
               static_cast<unsigned long long>(stats.instances.lookups),
