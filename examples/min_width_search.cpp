@@ -19,6 +19,13 @@ int main(int argc, char** argv) {
   const std::string benchmark = argc > 1 ? argv[1] : "9symml";
   const std::string encoding = argc > 2 ? argv[2] : "ITE-linear-2+muldirect";
   const std::string heuristic = argc > 3 ? argv[3] : "s1";
+  const auto spec = encode::FindEncoding(encoding);
+  const auto heuristic_kind = symmetry::HeuristicFromName(heuristic);
+  if (!spec || !heuristic_kind) {
+    std::fprintf(stderr, "unknown encoding '%s' or heuristic '%s'\n",
+                 encoding.c_str(), heuristic.c_str());
+    return 2;
+  }
 
   const netlist::McncBenchmark bench =
       netlist::GenerateMcncBenchmark(benchmark);
@@ -39,8 +46,8 @@ int main(int argc, char** argv) {
               lower, upper);
 
   flow::MinWidthOptions options;
-  options.route.encoding = encode::GetEncoding(encoding);
-  options.route.heuristic = symmetry::HeuristicFromName(heuristic);
+  options.route.encoding = *spec;
+  options.route.heuristic = *heuristic_kind;
   options.route.timeout_seconds = 300.0;
   const flow::MinWidthResult result =
       flow::FindMinimumWidthOnGraph(conflict, lower, options);

@@ -168,19 +168,6 @@ class WorkStealingDeque {
            bottom_.load(std::memory_order_relaxed);
   }
 
-  /// Approximate (racy) element count — same scheduling-hint contract as
-  /// Empty(). The service scheduler uses it to keep PushBottom within
-  /// capacity: called by the owner, it never under-reports the owner's own
-  /// unpopped pushes (steals only shrink the true count).
-  std::size_t ApproxSize() const {
-    const std::int64_t t = top_.load(std::memory_order_relaxed);
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-
-  /// Slots the constructor actually allocated (capacity rounded up).
-  std::size_t Capacity() const { return mask_ + 1; }
-
  private:
   mc::Atomic<std::int64_t> top_{0};
   mc::Atomic<std::int64_t> bottom_{0};

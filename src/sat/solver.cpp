@@ -115,6 +115,12 @@ SolverOptions SolverOptions::SiegeLike() {
   return opts;
 }
 
+std::optional<SolverOptions> FindSolverPreset(std::string_view name) {
+  if (name == "siege") return SolverOptions::SiegeLike();
+  if (name == "minisat") return SolverOptions::MiniSatLike();
+  return std::nullopt;
+}
+
 float Solver::ClauseView::Activity() const {
   float value;
   std::memcpy(&value, header + 1, sizeof(value));
@@ -208,7 +214,7 @@ Var Solver::NewVar() {
   const Var v = static_cast<Var>(num_vars());
   lit_value_.push_back(LBool::kUndef);
   lit_value_.push_back(LBool::kUndef);
-  saved_phase_.push_back(options_.default_phase_positive);
+  saved_phase_.push_back(false);  // first decided negative, as in MiniSat
   level_.push_back(0);
   reason_.push_back(kNoClause);
   activity_.push_back(0.0);
@@ -437,9 +443,7 @@ void Solver::UnassignForBacktrack(Lit p) {
   const std::size_t v = static_cast<std::size_t>(p.var());
   lit_value_[static_cast<std::size_t>(p.code())] = LBool::kUndef;
   lit_value_[static_cast<std::size_t>((~p).code())] = LBool::kUndef;
-  if (options_.phase_saving) {
-    saved_phase_[v] = !p.negated();
-  }
+  saved_phase_[v] = !p.negated();
   if (!order_.Contains(p.var())) order_.Insert(p.var());
 }
 
@@ -870,7 +874,7 @@ void Solver::RemoveSatisfied(std::vector<ClauseRef>& list) {
       ++stats_.removed;
       continue;
     }
-    if (false_lits > 0 && !options_.deterministic) {
+    if (false_lits > 0) {
       // On-trail strengthening: literals false at level 0 can never be
       // satisfied again, so drop them in place. The watched literals
       // (positions 0 and 1) are non-false at a propagation fixpoint, so
@@ -1105,7 +1109,7 @@ void Solver::CollectGarbage() {
 
 void Solver::VivifyRound() {
   assert(DecisionLevel() == 0);
-  if (!ok_ || options_.deterministic || !options_.vivify) return;
+  if (!ok_ || !options_.vivify) return;
   RebucketLearnts();
   if (learnts_tier2_.empty()) return;
   // Budgeted pass over tier2 with a rolling cursor: every clause gets its
@@ -1682,7 +1686,7 @@ SolveResult Solver::SolveWithAssumptions(const std::vector<Lit>& assumptions,
         std::abort();
       }
     }
-    if (options_.vivify && !options_.deterministic && restarts > 0 &&
+    if (options_.vivify && restarts > 0 &&
         options_.vivify_interval > 0 &&
         restarts % options_.vivify_interval == 0) {
       VivifyRound();

@@ -32,7 +32,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,10 +56,6 @@ struct SolverOptions {
   double clause_decay = 0.999;
   // Fraction of decisions taken uniformly at random (diversification).
   double random_decision_freq = 0.0;
-  // Remember and reuse the last assigned polarity of each variable.
-  bool phase_saving = true;
-  // Polarity used before a variable has ever been assigned.
-  bool default_phase_positive = false;
   // Restart schedule: Luby sequence scaled by restart_base, or geometric
   // with ratio restart_growth starting at restart_base.
   bool luby_restarts = false;
@@ -96,11 +94,6 @@ struct SolverOptions {
   bool vivify = true;
   int vivify_interval = 8;
   std::int64_t vivify_propagation_budget = 1 << 14;
-  // Reference mode: disables all restart-time inprocessing (vivification
-  // and on-trail strengthening) so the clause database evolves exactly as
-  // the plain CDCL derivation produces it. Differential tests and
-  // proof-replay debugging compare against this mode.
-  bool deterministic = false;
 
   // Run CheckInvariants at every restart boundary and abort on a violation.
   // Debug aid for solver changes; off by default (full scans are O(arena)).
@@ -112,6 +105,10 @@ struct SolverOptions {
   /// a pinch of randomness), approximating siege_v4's profile.
   static SolverOptions SiegeLike();
 };
+
+/// The preset named "siege" (SiegeLike) or "minisat" (MiniSatLike);
+/// nullopt for any other name.
+std::optional<SolverOptions> FindSolverPreset(std::string_view name);
 
 struct SolverStats {
   /// Buckets of the learnt-LBD histogram: bucket i counts learnts whose LBD

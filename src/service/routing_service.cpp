@@ -1,10 +1,9 @@
 #include "service/routing_service.h"
 
-#include <chrono>
-#include <thread>
+#include <algorithm>
+#include <cassert>
 #include <utility>
 
-#include "common/rng.h"
 #include "encode/registry.h"
 #include "symmetry/symmetry.h"
 
@@ -15,34 +14,6 @@ std::uint64_t Micros(double seconds) {
   return seconds <= 0.0 ? 0
                         : static_cast<std::uint64_t>(seconds * 1e6 + 0.5);
 }
-
-bool ParseSymmetry(const std::string& name, symmetry::Heuristic* out) {
-  if (name == "none" || name == "-") {
-    *out = symmetry::Heuristic::kNone;
-  } else if (name == "b1") {
-    *out = symmetry::Heuristic::kB1;
-  } else if (name == "s1") {
-    *out = symmetry::Heuristic::kS1;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool ParseSolverPreset(const std::string& name, sat::SolverOptions* out) {
-  if (name == "siege" || name.empty()) {
-    *out = sat::SolverOptions::SiegeLike();
-  } else if (name == "minisat") {
-    *out = sat::SolverOptions::MiniSatLike();
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// Wait-side nap between settle-state polls (the scheduler's Wait does the
-// heavy blocking; this only covers the claim->publish window).
-constexpr auto kSettleNap = std::chrono::microseconds(100);
 
 }  // namespace
 
@@ -69,13 +40,12 @@ obs::MetricsRegistry& RoutingService::metrics() const {
                                      : obs::GlobalMetrics();
 }
 
-RoutingService::Ticket RoutingService::NewTicket(RequestKind kind,
-                                                 bool is_session_op) {
+RoutingService::Ticket RoutingService::NewTicket(RequestKind kind) {
   mc::MutexLock lock(pending_mutex_);
   const std::uint64_t id = pending_.size();
   pending_.emplace_back();
   pending_.back().response.kind = kind;
-  pending_.back().is_session_op = is_session_op;
+  ++unsettled_;
   return Ticket{id};
 }
 
@@ -86,16 +56,23 @@ RoutingService::Pending* RoutingService::PendingRef(std::uint64_t id) const {
   return const_cast<Pending*>(&pending_[static_cast<std::size_t>(id)]);
 }
 
-bool RoutingService::ClaimSettle(Pending& pending) {
-  int expected = 0;
-  return pending.state.compare_exchange_strong(
-      expected, 1, std::memory_order_acq_rel, std::memory_order_acquire);
-}
-
-void RoutingService::PublishSettle(Pending& pending) {
+void RoutingService::Settle(Pending& pending) {
   pending.response.latency_seconds = pending.submitted.Seconds();
   metrics().Observe(id_latency_us_, Micros(pending.response.latency_seconds));
-  pending.state.store(2, std::memory_order_release);
+  mc::MutexLock lock(pending_mutex_);
+  assert(!pending.settled && "a ticket has exactly one settler");
+  pending.settled = true;
+  --unsettled_;
+  settled_cv_.notify_all();
+}
+
+void RoutingService::SettleCancelled(Pending& pending) {
+  Response& r = pending.response;
+  r.cancelled = true;
+  r.ok = false;
+  r.status = sat::SolveResult::kUnknown;
+  r.error = "cancelled before execution";
+  Settle(pending);
 }
 
 RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
@@ -103,12 +80,12 @@ RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
       request.graph != nullptr ? FingerprintGraph(*request.graph) : 0;
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_requests_);
-  const Ticket ticket = NewTicket(RequestKind::kRoute, false);
+  const Ticket ticket = NewTicket(RequestKind::kRoute);
   Pending* pending = PendingRef(ticket.id);
   auto shared = std::make_shared<RouteRequest>(std::move(request));
-  pending->handle = scheduler_.Submit(
-      [this, shared, fingerprint, pending](const mc::Atomic<bool>& cancel) {
-        ExecuteRoute(*shared, fingerprint, *pending, cancel);
+  pending->job = scheduler_.Submit(
+      [this, shared, fingerprint, pending](const mc::Atomic<bool>& stop) {
+        ExecuteRoute(*shared, fingerprint, *pending, stop);
       },
       shared->priority);
   return ticket;
@@ -131,73 +108,45 @@ const Response& RoutingService::Wait(Ticket ticket) {
     r.error = "invalid ticket";
     return r;
   }();
-  Pending* pending = PendingRef(ticket.id);
-  if (pending == nullptr) return kInvalid;
-  if (!pending->is_session_op) {
-    const JobStatus status = scheduler_.Wait(pending->handle);
-    if (status == JobStatus::kCancelled && ClaimSettle(*pending)) {
-      // Cancelled before any worker picked it up (Cancel or shutdown).
-      pending->response.cancelled = true;
-      pending->response.ok = false;
-      pending->response.status = sat::SolveResult::kUnknown;
-      pending->response.error = "cancelled before execution";
-      PublishSettle(*pending);
-    }
-  }
-  while (pending->state.load(std::memory_order_acquire) != 2) {
-    std::this_thread::sleep_for(kSettleNap);
-  }
-  return pending->response;
+  mc::MutexLock lock(pending_mutex_);
+  if (ticket.id >= pending_.size()) return kInvalid;
+  const Pending& pending = pending_[static_cast<std::size_t>(ticket.id)];
+  while (!pending.settled) settled_cv_.wait(pending_mutex_);
+  return pending.response;
 }
 
 bool RoutingService::Cancel(Ticket ticket) {
   Pending* pending = PendingRef(ticket.id);
   if (pending == nullptr) return false;
-  pending->cancel_requested.store(true, std::memory_order_release);
-  if (pending->is_session_op) {
-    // The pump observes the flag when it reaches the op.
-    return pending->state.load(std::memory_order_acquire) == 0;
+  if (pending->response.kind == RequestKind::kRoute) {
+    // Either the job never runs (true), or its stop flag is now set and the
+    // in-flight solver aborts cooperatively (false).
+    if (!scheduler_.Cancel(pending->job)) return false;
+  } else {
+    // A session op is cancellable while it waits in its session's queue;
+    // the pump owns it once popped.
+    const std::shared_ptr<Session> session = pending->session.lock();
+    if (session == nullptr) return false;
+    mc::MutexLock lock(session->mutex);
+    const auto queued = std::find_if(
+        session->queue.begin(), session->queue.end(),
+        [&ticket](const SessionOp& op) { return op.ticket == ticket.id; });
+    if (queued == session->queue.end()) return false;
+    session->queue.erase(queued);
   }
-  // Scheduler-side: either the job never runs (true) or its stop flag is
-  // now set and the in-flight solver aborts cooperatively (false).
-  if (scheduler_.Cancel(pending->handle)) {
-    if (ClaimSettle(*pending)) {
-      pending->response.cancelled = true;
-      pending->response.ok = false;
-      pending->response.status = sat::SolveResult::kUnknown;
-      pending->response.error = "cancelled before execution";
-      PublishSettle(*pending);
-    }
-    return true;
-  }
-  return false;
+  SettleCancelled(*pending);
+  return true;
 }
 
 void RoutingService::Drain() {
   scheduler_.WaitIdle();
-  // Settle route tickets whose job was cancelled before running and never
-  // waited on (their response would otherwise stay unpublished).
-  std::size_t count;
-  {
-    mc::MutexLock lock(pending_mutex_);
-    count = pending_.size();
-  }
-  for (std::uint64_t id = 0; id < count; ++id) {
-    Pending* pending = PendingRef(id);
-    if (pending->is_session_op) continue;
-    if (scheduler_.StatusOf(pending->handle) == JobStatus::kCancelled &&
-        ClaimSettle(*pending)) {
-      pending->response.cancelled = true;
-      pending->response.ok = false;
-      pending->response.error = "cancelled before execution";
-      PublishSettle(*pending);
-    }
-  }
+  mc::MutexLock lock(pending_mutex_);
+  while (unsettled_ > 0) settled_cv_.wait(pending_mutex_);
 }
 
 void RoutingService::ExecuteRoute(const RouteRequest& request,
                                   std::uint64_t fingerprint, Pending& pending,
-                                  const mc::Atomic<bool>& cancel) {
+                                  const mc::Atomic<bool>& stop) {
   Response& r = pending.response;
   obs::MetricsRegistry& m = metrics();
   m.Observe(id_queue_us_, Micros(pending.submitted.Seconds()));
@@ -214,14 +163,16 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       r.error = "unknown encoding: " + request.encoding;
       break;
     }
-    symmetry::Heuristic heuristic;
-    if (!ParseSymmetry(request.symmetry, &heuristic)) {
+    const std::optional<symmetry::Heuristic> heuristic =
+        symmetry::HeuristicFromName(request.symmetry);
+    if (!heuristic.has_value()) {
       r.ok = false;
       r.error = "unknown symmetry heuristic: " + request.symmetry;
       break;
     }
-    sat::SolverOptions preset;
-    if (!ParseSolverPreset(request.solver, &preset)) {
+    const std::optional<sat::SolverOptions> preset =
+        sat::FindSolverPreset(request.solver);
+    if (!preset.has_value()) {
       r.ok = false;
       r.error = "unknown solver preset: " + request.solver;
       break;
@@ -256,7 +207,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       Stopwatch encode_watch;
       const std::vector<graph::VertexId> sequence =
           symmetry::SymmetrySequence(*request.graph, request.width,
-                                     heuristic);
+                                     *heuristic);
       auto fresh = std::make_shared<encode::EncodedColoring>(
           encode::EncodeColoring(*request.graph, request.width, *spec,
                                  sequence));
@@ -270,12 +221,12 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
 
     flow::DetailedRouteOptions route_options;
     route_options.encoding = *spec;
-    route_options.heuristic = heuristic;
-    route_options.solver = preset;
+    route_options.heuristic = *heuristic;
+    route_options.solver = *preset;
     route_options.timeout_seconds = request.timeout_seconds >= 0.0
                                         ? request.timeout_seconds
                                         : options_.timeout_seconds;
-    route_options.stop = &cancel;
+    route_options.stop = &stop;
     route_options.run_label = request.label;
     if (instance != nullptr) route_options.reuse_encoding = instance.get();
     const flow::DetailedRouteResult result =
@@ -290,7 +241,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
     r.solve_seconds = result.solve_seconds;
     r.encode_seconds += result.encode_seconds;
     r.cancelled = result.status == sat::SolveResult::kUnknown &&
-                  cancel.load(std::memory_order_relaxed);
+                  stop.load(std::memory_order_relaxed);
     m.Observe(id_solve_us_, Micros(result.solve_seconds));
 
     // kUnknown (timeout / cancel) is a fact about the budget, not the
@@ -305,7 +256,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       verdicts_.Insert(verdict_key, entry, bytes);
     }
   } while (false);
-  if (ClaimSettle(pending)) PublishSettle(pending);
+  Settle(pending);
 }
 
 // --- sessions -------------------------------------------------------------
@@ -323,19 +274,19 @@ bool RoutingService::OpenSession(const std::string& client,
   const std::optional<encode::EncodingSpec> spec =
       encode::FindEncoding(encoding);
   if (!spec.has_value()) return fail("unknown encoding: " + encoding);
-  flow::RoutingSessionOptions session_options;
-  session_options.encoding = *spec;
-  if (!ParseSymmetry(symmetry, &session_options.heuristic)) {
+  const std::optional<symmetry::Heuristic> heuristic =
+      symmetry::HeuristicFromName(symmetry);
+  if (!heuristic.has_value()) {
     return fail("unknown symmetry heuristic: " + symmetry);
   }
+  flow::RoutingSessionOptions session_options;
+  session_options.encoding = *spec;
+  session_options.heuristic = *heuristic;
   session_options.timeout_seconds = options_.timeout_seconds;
   session_options.run_label = client;
 
   auto session = std::make_shared<Session>();
   session->graph = graph;
-  session->affinity = static_cast<int>(
-      StableHash64(client) %
-      static_cast<std::uint64_t>(scheduler_.num_workers()));
   session->session = std::make_unique<flow::RoutingSession>(
       *graph, max_width, session_options);
   if (!session->session->ok()) return fail(session->session->error());
@@ -388,7 +339,7 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
     const std::string& client, SessionOp op) {
   stat_session_ops_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_session_ops_);
-  const Ticket ticket = NewTicket(op.kind, /*is_session_op=*/true);
+  const Ticket ticket = NewTicket(op.kind);
   Pending* pending = PendingRef(ticket.id);
   std::shared_ptr<Session> session;
   {
@@ -397,13 +348,12 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
     if (it != sessions_.end()) session = it->second;
   }
   if (session == nullptr) {
-    if (ClaimSettle(*pending)) {
-      pending->response.ok = false;
-      pending->response.error = "no open session for client: " + client;
-      PublishSettle(*pending);
-    }
+    pending->response.ok = false;
+    pending->response.error = "no open session for client: " + client;
+    Settle(*pending);
     return ticket;
   }
+  pending->session = session;
   op.ticket = ticket.id;
   bool need_pump;
   {
@@ -417,7 +367,7 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
     // blocked on a microsecond apply should not sit behind cold solves.
     scheduler_.Submit(
         [this, session](const mc::Atomic<bool>&) { PumpSession(session); },
-        /*priority=*/1, session->affinity);
+        /*priority=*/1);
   }
   return ticket;
 }
@@ -444,17 +394,9 @@ void RoutingService::PumpSession(const std::shared_ptr<Session>& session) {
 
 void RoutingService::ExecuteSessionOp(Session& session, const SessionOp& op) {
   Pending* pending = PendingRef(op.ticket);
-  if (pending == nullptr || !ClaimSettle(*pending)) return;
   Response& r = pending->response;
   obs::MetricsRegistry& m = metrics();
   m.Observe(id_queue_us_, Micros(pending->submitted.Seconds()));
-  if (pending->cancel_requested.load(std::memory_order_acquire)) {
-    r.cancelled = true;
-    r.ok = false;
-    r.error = "cancelled before execution";
-    PublishSettle(*pending);
-    return;
-  }
   flow::RoutingSession& routing_session = *session.session;
   switch (op.kind) {
     case RequestKind::kSessionRipUp: {
@@ -492,7 +434,7 @@ void RoutingService::ExecuteSessionOp(Session& session, const SessionOp& op) {
       r.error = "internal: route request in session queue";
       break;
   }
-  PublishSettle(*pending);
+  Settle(*pending);
 }
 
 // --- introspection --------------------------------------------------------
@@ -522,13 +464,10 @@ std::vector<analysis::CoherenceSample> RoutingService::SampleCoherence(
     sample.hit_count = entry.hits;
 
     flow::DetailedRouteOptions route_options;
+    // Every name in a verdict key was resolved before the entry was cached.
     route_options.encoding = encode::GetEncoding(entry.key.encoding);
-    symmetry::Heuristic heuristic = symmetry::Heuristic::kNone;
-    ParseSymmetry(entry.key.symmetry, &heuristic);
-    route_options.heuristic = heuristic;
-    sat::SolverOptions preset;
-    ParseSolverPreset(entry.key.solver, &preset);
-    route_options.solver = preset;
+    route_options.heuristic = *symmetry::HeuristicFromName(entry.key.symmetry);
+    route_options.solver = *sat::FindSolverPreset(entry.key.solver);
     route_options.timeout_seconds = options_.timeout_seconds;
     route_options.run_label = "coherence:" + entry.key.ToString();
     const flow::DetailedRouteResult fresh = flow::RouteDetailedOnGraph(

@@ -16,18 +16,23 @@
 // Every solve, hit or miss, goes through flow::RouteDetailedOnGraph, so
 // the service inherits the flow's telemetry (trace spans, run records,
 // flow.solves) and its timeout/stop handling; the scheduler's per-job
-// cancel atomic IS the solver stop flag.
+// stop atomic IS the solver stop flag.
 //
 // Sessions: a client that opens a session gets a resident
-// flow::RoutingSession pinned to worker hash(client) % workers. Session
-// ops (rip-up / re-route / solve) are FIFO per client — they enter a
-// per-session queue drained by a "pump" job submitted with the session's
-// affinity, so deltas apply in order on warm state and never migrate
-// between workers mid-stream. kUnknown answers (timeout / cancel) are
-// never cached.
+// flow::RoutingSession. Session ops (rip-up / re-route / solve) are FIFO
+// per client — they enter a per-session queue drained by at most one
+// "pump" job at a time (priority 1, ahead of fresh routes), so deltas
+// apply in order on the warm solver, on whichever worker is free.
+// kUnknown answers (timeout / cancel) are never cached.
+//
+// Every ticket is settled exactly once — its response written, then
+// published under one mutex — by the worker that ran it or by the Cancel
+// that removed it from its queue. Wait and Drain block on that mutex's
+// condition variable; nothing polls.
 #ifndef SATFR_SERVICE_ROUTING_SERVICE_H_
 #define SATFR_SERVICE_ROUTING_SERVICE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -137,16 +142,18 @@ class RoutingService {
 
   /// Blocks until the ticket's work finished (or was cancelled).
   const Response& Wait(Ticket ticket);
-  /// Cancels: a queued request never solves; a running one gets its stop
-  /// flag (the solver aborts at its next check and reports kUnknown).
+  /// Cancels: a queued request or session op never runs (true); a running
+  /// route gets its stop flag (the solver aborts at its next check and
+  /// reports kUnknown). A running or finished session op is not stopped.
   bool Cancel(Ticket ticket);
-  /// Blocks until every submitted ticket is settled.
+  /// Blocks until every submitted ticket is settled and every job has
+  /// finished.
   void Drain();
 
   // --- sessions -----------------------------------------------------------
   /// Opens (or replaces) `client`'s session: encodes `graph` once at
   /// `max_width` into a resident solver, synchronously on the calling
-  /// thread; subsequent ops run on the session's pinned worker. False
+  /// thread; subsequent ops run on the worker pool, one at a time. False
   /// (with *error) when session construction failed.
   bool OpenSession(const std::string& client,
                    std::shared_ptr<const graph::Graph> graph, int max_width,
@@ -156,7 +163,7 @@ class RoutingService {
   void CloseSession(const std::string& client);
 
   /// FIFO per client: ops apply in submission order on the resident
-  /// session, on the session's pinned worker.
+  /// session.
   Ticket SubmitRipUp(const std::string& client, graph::VertexId net);
   Ticket SubmitReroute(const std::string& client, graph::VertexId net,
                        std::vector<graph::VertexId> conflicts);
@@ -191,7 +198,6 @@ class RoutingService {
   struct Session {
     std::unique_ptr<flow::RoutingSession> session;
     std::shared_ptr<const graph::Graph> graph;
-    int affinity = 0;
     mc::Mutex mutex;
     std::deque<SessionOp> queue SATFR_GUARDED_BY(mutex);
     bool pump_scheduled SATFR_GUARDED_BY(mutex) = false;
@@ -199,39 +205,41 @@ class RoutingService {
 
   struct Pending {
     Response response;
-    JobScheduler::Handle handle;
     Stopwatch submitted;
-    // 0 = in flight, 1 = claimed (a settler is filling the response),
-    // 2 = settled (response immutable). The claim CAS makes exactly one
-    // party — the executing worker, a pump, or a successful Cancel — the
-    // response writer, and Wait only reads at state 2.
-    mc::Atomic<int> state{0};
-    mc::Atomic<bool> cancel_requested{false};
-    bool is_session_op = false;
+    JobScheduler::Handle job;        // route tickets
+    std::weak_ptr<Session> session;  // session-op tickets
+    // Written once, under pending_mutex_, by the one party that wrote
+    // `response`; Wait reads the response only after seeing it.
+    bool settled = false;
   };
 
   obs::MetricsRegistry& metrics() const;
-  Ticket NewTicket(RequestKind kind, bool is_session_op);
+  Ticket NewTicket(RequestKind kind);
   Pending* PendingRef(std::uint64_t id) const;
-  /// True for exactly one caller per ticket: that caller may write the
-  /// response and must follow with PublishSettle.
-  bool ClaimSettle(Pending& pending);
-  /// Records latency metrics and makes the response visible to Wait.
-  void PublishSettle(Pending& pending);
+  /// Records latency metrics and makes the response visible to Wait. The
+  /// caller is the ticket's only writer: the worker that ran it, or the
+  /// Cancel that removed it from its queue.
+  void Settle(Pending& pending);
+  /// Settles a ticket removed from its queue before it ran.
+  void SettleCancelled(Pending& pending);
   Ticket SubmitSessionOp(const std::string& client, SessionOp op);
   void PumpSession(const std::shared_ptr<Session>& session);
   /// `fingerprint` is FingerprintGraph(*request.graph), taken at Submit.
   void ExecuteRoute(const RouteRequest& request, std::uint64_t fingerprint,
-                    Pending& pending, const mc::Atomic<bool>& cancel);
+                    Pending& pending, const mc::Atomic<bool>& stop);
   void ExecuteSessionOp(Session& session, const SessionOp& op);
 
   const ServiceOptions options_;
   ShardedLruCache<VerdictEntry> verdicts_;
   ShardedLruCache<encode::EncodedColoring> instances_;
 
+  // Guards the ticket table and every ticket's `settled` flag;
+  // settled_cv_ is notified under it whenever a ticket settles.
   mutable mc::Mutex pending_mutex_;
+  std::condition_variable_any settled_cv_;
   // deque: append-only; workers hold Pending* across later submissions.
   std::deque<Pending> pending_ SATFR_GUARDED_BY(pending_mutex_);
+  std::uint64_t unsettled_ SATFR_GUARDED_BY(pending_mutex_) = 0;
 
   mutable mc::Mutex sessions_mutex_;
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_

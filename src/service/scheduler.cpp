@@ -1,235 +1,115 @@
 #include "service/scheduler.h"
 
 #include <algorithm>
-#include <mutex>
-#include <chrono>
 #include <utility>
 
 namespace satfr::service {
 namespace {
 
-constexpr auto kIdleNap = std::chrono::milliseconds(2);
+std::size_t WorkerCount(int requested) {
+  const int workers =
+      requested > 0 ? requested
+                    : static_cast<int>(std::thread::hardware_concurrency());
+  return static_cast<std::size_t>(std::max(workers, 1));
+}
 
 }  // namespace
 
 JobScheduler::JobScheduler(const SchedulerOptions& options)
-    : options_(options) {
-  int workers = options.num_workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-  }
-  if (workers < 1) workers = 1;
-  workers_.reserve(static_cast<std::size_t>(workers));
-  for (int w = 0; w < workers; ++w) {
-    workers_.push_back(std::make_unique<Worker>(options.deque_capacity));
-  }
-  for (std::size_t w = 0; w < workers_.size(); ++w) {
-    workers_[w]->thread = std::thread([this, w] { WorkerLoop(w); });
+    : stop_(WorkerCount(options.num_workers)),
+      running_(stop_.size(), kIdle) {
+  threads_.reserve(stop_.size());
+  for (std::size_t w = 0; w < stop_.size(); ++w) {
+    threads_.emplace_back([this, w] { WorkerLoop(w); });
   }
 }
 
 JobScheduler::~JobScheduler() {
-  // Tombstone everything still pending so the drain below is fast even
-  // with a deep backlog, and running jobs see their stop flag.
+  std::map<QueueKey, JobFn> dropped;  // destroyed after the lock is released
   {
-    mc::MutexLock lock(jobs_mutex_);
-    for (Job& job : jobs_) {
-      job.cancel.store(true, std::memory_order_relaxed);
-      Finish(job, JobStatus::kCancelled);
+    mc::MutexLock lock(mutex_);
+    shutdown_ = true;
+    cancelled_ += queue_.size();
+    dropped.swap(queue_);
+    for (std::size_t w = 0; w < running_.size(); ++w) {
+      if (running_[w] != kIdle) stop_[w].store(true, std::memory_order_relaxed);
     }
+    work_cv_.notify_all();
+    if (Idle()) idle_cv_.notify_all();
   }
-  shutdown_.store(true, std::memory_order_release);
-  work_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) worker->thread.join();
-  }
+  for (std::thread& thread : threads_) thread.join();
 }
 
-JobScheduler::Handle JobScheduler::Submit(JobFn fn, int priority,
-                                          int affinity) {
-  std::uint64_t id;
-  {
-    mc::MutexLock lock(jobs_mutex_);
-    id = jobs_.size();
-    jobs_.emplace_back();
-    jobs_.back().fn = std::move(fn);
-    jobs_.back().priority = priority;
-  }
-  outstanding_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t target =
-      affinity >= 0
-          ? static_cast<std::size_t>(affinity) % workers_.size()
-          : static_cast<std::size_t>(
-                round_robin_.fetch_add(1, std::memory_order_relaxed) %
-                workers_.size());
-  Worker& worker = *workers_[target];
-  {
-    mc::MutexLock lock(worker.inbox_mutex);
-    worker.inbox.push_back(static_cast<std::int64_t>(id));
-  }
-  work_cv_.notify_all();
+JobScheduler::Handle JobScheduler::Submit(JobFn fn, int priority) {
+  mc::MutexLock lock(mutex_);
+  const std::uint64_t id = next_id_++;
+  queue_.emplace(QueueKey{priority, id}, std::move(fn));
+  work_cv_.notify_one();
   return Handle{id};
 }
 
 bool JobScheduler::Cancel(Handle handle) {
-  Job* job = JobRef(handle.id);
-  if (job == nullptr) return false;
-  // The flag first: if the CAS below loses to a worker's pending->running
-  // transition, the body still observes the stop request.
-  job->cancel.store(true, std::memory_order_relaxed);
-  return Finish(*job, JobStatus::kCancelled);
-}
-
-JobStatus JobScheduler::Wait(Handle handle) {
-  Job* job = JobRef(handle.id);
-  if (job == nullptr) return JobStatus::kCancelled;
-  for (;;) {
-    const auto status =
-        static_cast<JobStatus>(job->status.load(std::memory_order_acquire));
-    if (status == JobStatus::kDone || status == JobStatus::kCancelled) {
-      return status;
-    }
-    std::unique_lock<mc::Mutex> lock(wake_mutex_);
-    done_cv_.wait_for(lock, kIdleNap);
+  JobFn dropped;  // destroyed after the lock is released
+  mc::MutexLock lock(mutex_);
+  if (handle.id >= next_id_) return false;
+  const auto queued =
+      std::find_if(queue_.begin(), queue_.end(), [&](const auto& entry) {
+        return entry.first.id == handle.id;
+      });
+  if (queued != queue_.end()) {
+    dropped = std::move(queued->second);
+    queue_.erase(queued);
+    ++cancelled_;
+    if (Idle()) idle_cv_.notify_all();
+    return true;
   }
-}
-
-JobStatus JobScheduler::StatusOf(Handle handle) const {
-  Job* job = JobRef(handle.id);
-  if (job == nullptr) return JobStatus::kCancelled;
-  return static_cast<JobStatus>(job->status.load(std::memory_order_acquire));
+  for (std::size_t w = 0; w < running_.size(); ++w) {
+    if (running_[w] == handle.id) {
+      stop_[w].store(true, std::memory_order_relaxed);
+    }
+  }
+  return false;
 }
 
 void JobScheduler::WaitIdle() {
-  while (outstanding_.load(std::memory_order_acquire) > 0) {
-    std::unique_lock<mc::Mutex> lock(wake_mutex_);
-    done_cv_.wait_for(lock, kIdleNap);
-  }
+  mc::MutexLock lock(mutex_);
+  while (!Idle()) idle_cv_.wait(mutex_);
 }
 
 SchedulerStats JobScheduler::stats() const {
+  mc::MutexLock lock(mutex_);
   SchedulerStats stats;
-  {
-    mc::MutexLock lock(jobs_mutex_);
-    stats.submitted = jobs_.size();
-  }
-  stats.completed = stat_completed_.load(std::memory_order_relaxed);
-  stats.cancelled = stat_cancelled_.load(std::memory_order_relaxed);
-  stats.steals = stat_steals_.load(std::memory_order_relaxed);
+  stats.submitted = next_id_;
+  stats.completed = completed_;
+  stats.cancelled = cancelled_;
   return stats;
 }
 
-JobScheduler::Job* JobScheduler::JobRef(std::uint64_t id) const {
-  mc::MutexLock lock(jobs_mutex_);
-  if (id >= jobs_.size()) return nullptr;
-  // Safe to hand out: std::deque growth never relocates existing elements,
-  // and jobs_ is append-only for the scheduler's lifetime.
-  return const_cast<Job*>(&jobs_[static_cast<std::size_t>(id)]);
+bool JobScheduler::Idle() const {
+  return queue_.empty() &&
+         std::all_of(running_.begin(), running_.end(),
+                     [](std::uint64_t id) { return id == kIdle; });
 }
 
-bool JobScheduler::Finish(Job& job, JobStatus to) {
-  int expected = static_cast<int>(JobStatus::kPending);
-  if (!job.status.compare_exchange_strong(expected, static_cast<int>(to),
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-    return false;
-  }
-  // Exactly one party moves a job out of kPending, so this decrement (and
-  // the matching stat) happens exactly once per job.
-  if (to == JobStatus::kCancelled) {
-    stat_cancelled_.fetch_add(1, std::memory_order_relaxed);
-    outstanding_.fetch_sub(1, std::memory_order_release);
-    done_cv_.notify_all();
-  }
-  return true;
-}
-
-bool JobScheduler::DrainInbox(Worker& worker) {
-  std::vector<std::int64_t> taken;
-  {
-    mc::MutexLock lock(worker.inbox_mutex);
-    if (worker.inbox.empty()) return false;
-    // Keep PushBottom within the deque's fixed capacity: the owner's
-    // ApproxSize never under-reports its own unpopped pushes.
-    const std::size_t room =
-        worker.deque.Capacity() - worker.deque.ApproxSize();
-    const std::size_t take = std::min(room, worker.inbox.size());
-    if (take == 0) return false;
-    taken.assign(worker.inbox.begin(),
-                 worker.inbox.begin() + static_cast<std::ptrdiff_t>(take));
-    worker.inbox.erase(
-        worker.inbox.begin(),
-        worker.inbox.begin() + static_cast<std::ptrdiff_t>(take));
-  }
-  std::vector<std::pair<int, std::int64_t>> batch;  // (priority, id)
-  batch.reserve(taken.size());
-  for (const std::int64_t id : taken) {
-    batch.emplace_back(JobRef(static_cast<std::uint64_t>(id))->priority, id);
-  }
-  // Ascending priority, stable: the LIFO bottom ends at the highest
-  // priority (and FIFO among equals reversed by the pop — acceptable
-  // within one drained batch), so PopBottom serves priority order.
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (const auto& [priority, id] : batch) worker.deque.PushBottom(id);
-  return true;
-}
-
-void JobScheduler::RunJob(std::int64_t id, bool stolen) {
-  Job& job = *JobRef(static_cast<std::uint64_t>(id));
-  int expected = static_cast<int>(JobStatus::kPending);
-  if (!job.status.compare_exchange_strong(
-          expected, static_cast<int>(JobStatus::kRunning),
-          std::memory_order_acq_rel, std::memory_order_acquire)) {
-    return;  // tombstone: Cancel won the race; it settled the bookkeeping
-  }
-  if (stolen) stat_steals_.fetch_add(1, std::memory_order_relaxed);
-  job.fn(job.cancel);
-  job.fn = nullptr;  // release captured payload (graphs, callbacks) early
-  job.status.store(static_cast<int>(JobStatus::kDone),
-                   std::memory_order_release);
-  stat_completed_.fetch_add(1, std::memory_order_relaxed);
-  outstanding_.fetch_sub(1, std::memory_order_release);
-  done_cv_.notify_all();
-}
-
-void JobScheduler::WorkerLoop(std::size_t worker_index) {
-  Worker& self = *workers_[worker_index];
-  std::size_t steal_cursor = worker_index + 1;
+void JobScheduler::WorkerLoop(std::size_t worker) {
   for (;;) {
-    DrainInbox(self);
-    std::int64_t id;
-    if (self.deque.PopBottom(&id)) {
-      RunJob(id, /*stolen=*/false);
-      continue;
+    JobFn fn;
+    {
+      mc::MutexLock lock(mutex_);
+      while (queue_.empty() && !shutdown_) work_cv_.wait(mutex_);
+      if (queue_.empty()) return;  // shut down
+      const auto first = queue_.begin();
+      running_[worker] = first->first.id;
+      fn = std::move(first->second);
+      queue_.erase(first);
+      stop_[worker].store(false, std::memory_order_relaxed);
     }
-    // Own work exhausted: sweep the siblings once before napping.
-    bool stole = false;
-    for (std::size_t i = 0; i + 1 < workers_.size() && !stole; ++i) {
-      Worker& victim = *workers_[(steal_cursor + i) % workers_.size()];
-      if (&victim == &self) continue;
-      if (victim.deque.Steal(&id)) {
-        steal_cursor = (steal_cursor + i) % workers_.size();
-        RunJob(id, /*stolen=*/true);
-        stole = true;
-      }
-    }
-    if (stole) continue;
-    if (shutdown_.load(std::memory_order_acquire)) {
-      // Drain leftovers (all tombstoned by the destructor) so no id is
-      // abandoned mid-structure, then exit.
-      bool drained_any = DrainInbox(self);
-      while (self.deque.PopBottom(&id)) {
-        RunJob(id, /*stolen=*/false);
-        drained_any = true;
-      }
-      if (!drained_any) return;
-      continue;
-    }
-    std::unique_lock<mc::Mutex> lock(wake_mutex_);
-    work_cv_.wait_for(lock, kIdleNap);
+    fn(stop_[worker]);
+    fn = nullptr;  // release captured payload (graphs, callbacks) early
+    mc::MutexLock lock(mutex_);
+    running_[worker] = kIdle;
+    ++completed_;
+    if (Idle()) idle_cv_.notify_all();
   }
 }
 

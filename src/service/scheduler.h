@@ -1,150 +1,115 @@
 // Thread-pool job scheduler for the routing service (DESIGN.md §15).
 //
-// Each worker owns a Chase-Lev `cube::WorkStealingDeque` (the PR 6
-// structure, reused as-is) plus a mutex-guarded inbox. Submission picks a
-// worker — round-robin, or pinned when the job carries an affinity tag
-// (session pumps hash their client id so one client's deltas always land
-// on one worker's warm state) — and appends to its inbox. The worker
-// drains the inbox in priority order into its deque, pops its own bottom
-// (LIFO keeps the highest-priority drained job first), and steals from
-// siblings when empty, so a burst submitted to one worker spreads across
-// the pool.
+// N worker threads serve one priority queue guarded by one mutex: the
+// highest priority runs first, and equal priorities run in submission
+// order. Every state change happens under that mutex and every condition
+// variable is notified under it, so no wake-up is lost and nobody polls.
 //
-// Cancellation is a CAS race on the job's status: Cancel wins on a job
-// still pending (it never runs; the deque entry becomes a tombstone the
-// popping worker discards), and on a job already running it degrades to a
-// cooperative stop flag — the same `mc::Atomic<bool>` the job body is
-// handed, which routing jobs wire into `DetailedRouteOptions::stop` so an
-// in-flight SAT search aborts at its next restart check.
+// Cancellation is decided under the same mutex. A job still queued is
+// removed and never runs; a job already running has its stop flag set —
+// the `mc::Atomic<bool>` the body is handed, which routing jobs wire into
+// `DetailedRouteOptions::stop` so an in-flight SAT search aborts at its
+// next restart check.
 #ifndef SATFR_SERVICE_SCHEDULER_H_
 #define SATFR_SERVICE_SCHEDULER_H_
 
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <memory>
+#include <map>
 #include <thread>
 #include <vector>
 
-#include "cube/work_queue.h"
 #include "mc/annotations.h"
 #include "mc/shim.h"
 
 namespace satfr::service {
 
-enum class JobStatus : int {
-  kPending = 0,   // submitted, not yet picked up
-  kRunning = 1,   // a worker is executing the body
-  kDone = 2,      // body returned
-  kCancelled = 3  // cancelled before any worker picked it up
-};
-
 struct SchedulerOptions {
   /// Worker thread count; <= 0 means std::thread::hardware_concurrency()
   /// (minimum 1).
   int num_workers = 0;
-  /// Per-worker deque capacity (rounded up to a power of two). Submissions
-  /// beyond it park in the inbox until the deque drains.
-  std::size_t deque_capacity = 1024;
 };
 
 struct SchedulerStats {
   std::uint64_t submitted = 0;
   std::uint64_t completed = 0;
   std::uint64_t cancelled = 0;  // cancelled before running
-  std::uint64_t steals = 0;     // jobs run by a non-assigned worker
+  /// Always 0: workers share one queue, so no job is ever stolen. The field
+  /// stays only because perfbench's service_mix still reads it; the
+  /// benchmark change of ROADMAP item 1 removes that last reader, and this
+  /// field with it.
+  std::uint64_t steals = 0;
 };
 
 class JobScheduler {
  public:
-  /// A job body. The flag is the job's cancel/stop signal: false at start
-  /// unless Cancel raced the pickup; long-running bodies should poll it
-  /// (routing jobs pass it straight to the solver as the stop atomic).
-  using JobFn = std::function<void(const mc::Atomic<bool>& cancel)>;
+  /// A job body. The flag is the job's stop signal, false at start;
+  /// long-running bodies should poll it (routing jobs pass it straight to
+  /// the solver as the stop atomic).
+  using JobFn = std::function<void(const mc::Atomic<bool>& stop)>;
 
   struct Handle {
-    static constexpr std::uint64_t kInvalid = ~std::uint64_t{0};
-    std::uint64_t id = kInvalid;
-    bool valid() const { return id != kInvalid; }
+    std::uint64_t id = ~std::uint64_t{0};  // default: no job
   };
 
   explicit JobScheduler(const SchedulerOptions& options = {});
-  /// Cancels every job still pending, then joins the workers (jobs already
-  /// running get their stop flag set and are waited for).
+  /// Cancels every job still queued, sets the stop flag of every running
+  /// one, and joins the workers once those return.
   ~JobScheduler();
 
   JobScheduler(const JobScheduler&) = delete;
   JobScheduler& operator=(const JobScheduler&) = delete;
 
-  /// Enqueues `fn`. Higher `priority` runs first among jobs drained by the
-  /// same worker. `affinity` >= 0 pins the job to worker `affinity %
-  /// num_workers` (it can still be stolen under load); -1 round-robins.
-  Handle Submit(JobFn fn, int priority = 0, int affinity = -1);
+  /// Enqueues `fn`. Higher `priority` runs first; equal priorities run in
+  /// submission order.
+  Handle Submit(JobFn fn, int priority = 0);
 
-  /// True if the job had not started: it will never run. False once
-  /// running (or finished); a running job's cancel flag is still set, so a
-  /// cooperative body stops early but is reported kDone.
+  /// True if the job was still queued: it is removed and will never run.
+  /// False once it started (or finished); a running job's stop flag is
+  /// set, so a cooperative body stops early and is reported completed.
   bool Cancel(Handle handle);
 
-  /// Blocks until the job reaches kDone or kCancelled; returns which.
-  JobStatus Wait(Handle handle);
-
-  JobStatus StatusOf(Handle handle) const;
-
-  /// Blocks until every job submitted so far is kDone or kCancelled.
+  /// Blocks until every job submitted so far has completed or been
+  /// cancelled.
   void WaitIdle();
 
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  int num_workers() const { return static_cast<int>(threads_.size()); }
   SchedulerStats stats() const;
 
  private:
-  struct Job {
-    JobFn fn;
+  /// Queue order: higher priority first, then lower (earlier) id.
+  struct QueueKey {
     int priority = 0;
-    mc::Atomic<int> status{static_cast<int>(JobStatus::kPending)};
-    mc::Atomic<bool> cancel{false};
+    std::uint64_t id = 0;
+    bool operator<(const QueueKey& other) const {
+      return priority != other.priority ? priority > other.priority
+                                        : id < other.id;
+    }
   };
 
-  struct Worker {
-    explicit Worker(std::size_t deque_capacity) : deque(deque_capacity) {}
-    cube::WorkStealingDeque deque;  // job ids; owner = this worker's thread
-    mc::Mutex inbox_mutex;
-    std::vector<std::int64_t> inbox SATFR_GUARDED_BY(inbox_mutex);
-    std::thread thread;
-  };
+  /// Marks `running_` entries of idle workers.
+  static constexpr std::uint64_t kIdle = ~std::uint64_t{0};
 
-  void WorkerLoop(std::size_t worker_index);
-  /// Moves inbox jobs into the deque, highest priority popped first.
-  /// Returns true when anything was transferred.
-  bool DrainInbox(Worker& worker);
-  void RunJob(std::int64_t id, bool stolen);
-  Job* JobRef(std::uint64_t id) const;
-  /// CASes `job` pending -> `to` and settles the completion bookkeeping.
-  bool Finish(Job& job, JobStatus to);
+  void WorkerLoop(std::size_t worker);
+  bool Idle() const SATFR_REQUIRES(mutex_);
 
-  const SchedulerOptions options_;
+  mutable mc::Mutex mutex_;
+  std::condition_variable_any work_cv_;  // queue non-empty, or shutdown
+  std::condition_variable_any idle_cv_;  // queue empty and no job running
 
-  mutable mc::Mutex jobs_mutex_;
-  // deque: ids are indices, and growth never relocates existing Jobs, so
-  // workers hold Job* across the append of later submissions.
-  std::deque<Job> jobs_ SATFR_GUARDED_BY(jobs_mutex_);
+  std::map<QueueKey, JobFn> queue_ SATFR_GUARDED_BY(mutex_);
+  // Per worker: the stop flag handed to its current job. Reset under
+  // mutex_ at pickup, raised under mutex_ by Cancel and shutdown.
+  std::vector<mc::Atomic<bool>> stop_;
+  // Per worker: the id of the job it runs, or kIdle.
+  std::vector<std::uint64_t> running_ SATFR_GUARDED_BY(mutex_);
+  std::uint64_t next_id_ SATFR_GUARDED_BY(mutex_) = 0;
+  std::uint64_t completed_ SATFR_GUARDED_BY(mutex_) = 0;
+  std::uint64_t cancelled_ SATFR_GUARDED_BY(mutex_) = 0;
+  bool shutdown_ SATFR_GUARDED_BY(mutex_) = false;
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  mc::Atomic<std::uint64_t> round_robin_{0};
-  mc::Atomic<std::int64_t> outstanding_{0};
-  mc::Atomic<bool> shutdown_{false};
-
-  // Sleep/wake: workers nap on work_cv_ when idle; completion waiters nap
-  // on done_cv_. Both use timed waits, so a missed notify costs one nap
-  // period, never a hang.
-  mc::Mutex wake_mutex_;
-  std::condition_variable_any work_cv_;
-  std::condition_variable_any done_cv_;
-
-  mc::Atomic<std::uint64_t> stat_completed_{0};
-  mc::Atomic<std::uint64_t> stat_cancelled_{0};
-  mc::Atomic<std::uint64_t> stat_steals_{0};
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace satfr::service

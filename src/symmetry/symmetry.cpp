@@ -1,8 +1,6 @@
 #include "symmetry/symmetry.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 namespace satfr::symmetry {
 
@@ -18,13 +16,11 @@ const char* ToString(Heuristic heuristic) {
   return "?";
 }
 
-Heuristic HeuristicFromName(const std::string& name) {
+std::optional<Heuristic> HeuristicFromName(std::string_view name) {
   if (name == "none" || name == "-") return Heuristic::kNone;
   if (name == "b1") return Heuristic::kB1;
   if (name == "s1") return Heuristic::kS1;
-  std::fprintf(stderr, "satfr: unknown symmetry heuristic '%s'\n",
-               name.c_str());
-  std::abort();
+  return std::nullopt;
 }
 
 namespace {

@@ -14,7 +14,8 @@
 //    degree order, same tie-break.
 #pragma once
 
-#include <string>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
@@ -25,8 +26,8 @@ enum class Heuristic { kNone, kB1, kS1 };
 
 const char* ToString(Heuristic heuristic);
 
-/// Parses "none"/"-", "b1", "s1" (used by CLI tools); aborts on other input.
-Heuristic HeuristicFromName(const std::string& name);
+/// Parses "none"/"-", "b1", "s1"; nullopt for any other name.
+std::optional<Heuristic> HeuristicFromName(std::string_view name);
 
 /// Ordered vertex sequence v_1..v_m (m <= K-1) to restrict. Empty for
 /// kNone, for K <= 1, or for an empty graph. All returned vertices are

@@ -238,7 +238,7 @@ TEST(EncodingPassesTest, CleanEncodingsHaveNoErrors) {
     for (int k = 2; k <= 5; ++k) {
       for (const char* sym : {"none", "b1", "s1"}) {
         const auto sequence = symmetry::SymmetrySequence(
-            g, k, symmetry::HeuristicFromName(sym));
+            g, k, *symmetry::HeuristicFromName(sym));
         const encode::EncodedColoring encoded =
             encode::EncodeColoring(g, k, spec, sequence);
         AnalysisInput input;

@@ -71,7 +71,6 @@ TEST(ServiceStress, ShardedCacheSurvivesConcurrentChurn) {
 TEST(ServiceStress, SchedulerSubmitCancelChurnConservesJobs) {
   SchedulerOptions options;
   options.num_workers = 3;
-  options.deque_capacity = 16;  // small: exercises the inbox backlog path
   JobScheduler scheduler(options);
   constexpr int kSubmitters = 3;
   constexpr int kJobsPerSubmitter = 400;
@@ -80,14 +79,13 @@ TEST(ServiceStress, SchedulerSubmitCancelChurnConservesJobs) {
   std::atomic<std::uint64_t> cancel_wins{0};
   std::vector<std::thread> submitters;
   for (int t = 0; t < kSubmitters; ++t) {
-    submitters.emplace_back([&, t] {
+    submitters.emplace_back([&] {
       for (int i = 0; i < kJobsPerSubmitter; ++i) {
         const auto handle = scheduler.Submit(
             [&executed](const mc::Atomic<bool>&) {
               executed.fetch_add(1, std::memory_order_relaxed);
             },
-            /*priority=*/i % 3,
-            /*affinity=*/i % 4 == 0 ? t : -1);
+            /*priority=*/i % 3);
         // Every third job gets a racing cancel: either it never runs (the
         // cancel won) or it runs exactly once.
         if (i % 3 == 0 && scheduler.Cancel(handle)) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 
 #include "sat/brute_force.h"
@@ -126,6 +127,18 @@ TEST(SolverTest, ModelSatisfiesFormula) {
     if (SolveCnf(cnf, &solver) == SolveResult::kSat) {
       EXPECT_TRUE(cnf.IsSatisfiedBy(solver.model()));
     }
+  }
+}
+
+TEST(SolverTest, PresetLookupKnowsExactlyTheTwoPresets) {
+  const std::optional<SolverOptions> siege = FindSolverPreset("siege");
+  const std::optional<SolverOptions> minisat = FindSolverPreset("minisat");
+  ASSERT_TRUE(siege.has_value());
+  ASSERT_TRUE(minisat.has_value());
+  EXPECT_EQ(siege->restart_base, SolverOptions::SiegeLike().restart_base);
+  EXPECT_EQ(minisat->luby_restarts, SolverOptions::MiniSatLike().luby_restarts);
+  for (const char* name : {"bogus", "", "walksat", "Siege", "minisat "}) {
+    EXPECT_FALSE(FindSolverPreset(name).has_value()) << "'" << name << "'";
   }
 }
 

@@ -185,5 +185,11 @@ TEST(SymmetryTest, NameRoundTrip) {
   EXPECT_STREQ(ToString(Heuristic::kNone), "-");
 }
 
+TEST(SymmetryTest, UnknownNamesAreRejected) {
+  for (const char* name : {"bogus", "", "S1", "b2", "none "}) {
+    EXPECT_FALSE(HeuristicFromName(name).has_value()) << "'" << name << "'";
+  }
+}
+
 }  // namespace
 }  // namespace satfr::symmetry

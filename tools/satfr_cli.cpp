@@ -7,9 +7,7 @@
 //   satfr route  <benchmark> --width W     route at a fixed channel width
 //   satfr replay <benchmark> <trace>       drive a long-lived incremental
 //                                          RoutingSession from a rip-up /
-//                                          re-route trace file (see below;
-//                                          `route <benchmark> --replay FILE`
-//                                          is an equivalent spelling)
+//                                          re-route trace file (see below)
 //   satfr export <benchmark> [opts]        write .col / .cnf artifacts
 //   satfr solve  <file.cnf> [opts]         run the CDCL solver on DIMACS CNF
 //   satfr color  <file.col> --width K      K-color a DIMACS graph via SAT
@@ -24,10 +22,11 @@
 //                                          audits the verdict cache against
 //                                          fresh solves at shutdown
 //
-// Common options:
-//   --encoding NAME   (default ITE-linear-2+muldirect)
+// Common options (an unknown --encoding, --sym or --solver name exits 2):
+//   --encoding NAME   (default ITE-linear-2+muldirect; see `satfr encodings`)
 //   --sym b1|s1|none  (default s1)
-//   --solver siege|minisat|walksat  (default siege; walksat: SAT-only)
+//   --solver siege|minisat  (default siege); `solve` also takes walksat
+//                     (SAT-only local search)
 //   --timeout SECONDS (default 300)
 //   --width N
 //   --selfcheck       run the satlint pipeline over every encoded CNF
@@ -58,7 +57,7 @@
 //                       k=v tokens: prio=N (scheduler priority), enc=NAME,
 //                       sym=b1|s1|none, solver=siege|minisat
 //   session <client> <benchmark> [maxwidth]  open an incremental session
-//                       for <client> (encoded once, pinned to one worker)
+//                       for <client> (encoded once; its ops run in order)
 //   ripup <client> <net>                rip up net in the client's session
 //   reroute <client> <net> [p1 p2...]   re-route net against partners
 //   solve <client> [width]              solve the client's session state
@@ -113,8 +112,10 @@
 #include "route/routing_io.h"
 #include "sat/clause_sink.h"
 #include "sat/dimacs.h"
+#include "sat/solver.h"
 #include "sat/walksat.h"
 #include "service/routing_service.h"
+#include "symmetry/symmetry.h"
 
 namespace {
 
@@ -124,9 +125,13 @@ struct CliOptions {
   std::string encoding = "ITE-linear-2+muldirect";
   std::string sym = "s1";
   std::string solver = "siege";
+  // The three names above, resolved by ParseArgs (`solver_options` stays
+  // the default for `solve --solver walksat`).
+  encode::EncodingSpec encoding_spec;
+  symmetry::Heuristic heuristic = symmetry::Heuristic::kS1;
+  sat::SolverOptions solver_options;
   std::string routing_file;
   std::string save_routing_file;
-  std::string replay_file;
   std::string dimacs_out;
   std::string trace_out;
   std::string metrics_out;
@@ -151,7 +156,7 @@ struct CliOptions {
   std::exit(2);
 }
 
-CliOptions ParseArgs(int argc, char** argv) {
+CliOptions ParseArgs(const std::string& command, int argc, char** argv) {
   CliOptions opts;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -189,8 +194,6 @@ CliOptions ParseArgs(int argc, char** argv) {
       opts.routing_file = next();
     } else if (arg == "--save-routing") {
       opts.save_routing_file = next();
-    } else if (arg == "--replay") {
-      opts.replay_file = next();
     } else if (arg == "--dimacs-out") {
       opts.dimacs_out = next();
     } else if (arg == "--trace-out") {
@@ -216,16 +219,41 @@ CliOptions ParseArgs(int argc, char** argv) {
       opts.positional.push_back(arg);
     }
   }
+  // Name-valued flags resolve here, once, so no command can abort or fall
+  // back to a default on a name it does not know.
+  auto unknown_name = [](const char* flag, const std::string& value,
+                         const char* expected) {
+    std::fprintf(stderr, "%s: unknown name '%s' (expected %s)\n", flag,
+                 value.c_str(), expected);
+    std::exit(2);
+  };
+  if (const auto spec = encode::FindEncoding(opts.encoding)) {
+    opts.encoding_spec = *spec;
+  } else {
+    unknown_name("--encoding", opts.encoding,
+                 "a name listed by `satfr encodings`");
+  }
+  if (const auto heuristic = symmetry::HeuristicFromName(opts.sym)) {
+    opts.heuristic = *heuristic;
+  } else {
+    unknown_name("--sym", opts.sym, "b1, s1 or none");
+  }
+  const bool walksat_allowed = command == "solve";
+  if (const auto preset = sat::FindSolverPreset(opts.solver)) {
+    opts.solver_options = *preset;
+  } else if (!walksat_allowed || opts.solver != "walksat") {
+    unknown_name("--solver", opts.solver,
+                 walksat_allowed ? "siege, minisat or walksat"
+                                 : "siege or minisat");
+  }
   return opts;
 }
 
 flow::DetailedRouteOptions ToRouteOptions(const CliOptions& opts) {
   flow::DetailedRouteOptions route;
-  route.encoding = encode::GetEncoding(opts.encoding);
-  route.heuristic = symmetry::HeuristicFromName(opts.sym);
-  route.solver = opts.solver == "minisat"
-                     ? sat::SolverOptions::MiniSatLike()
-                     : sat::SolverOptions::SiegeLike();
+  route.encoding = opts.encoding_spec;
+  route.heuristic = opts.heuristic;
+  route.solver = opts.solver_options;
   route.timeout_seconds = opts.timeout;
   route.selfcheck = opts.selfcheck;
   if (!opts.positional.empty()) route.run_label = opts.positional[0];
@@ -413,14 +441,12 @@ int CmdRouteCube(const CliOptions& opts, const LoadedBenchmark& loaded) {
   cube_options.pool.num_workers = opts.workers;
   cube_options.pool.deterministic = opts.deterministic;
   cube_options.gen.target_cubes = opts.cubes;
-  cube_options.solver = opts.solver == "minisat"
-                            ? sat::SolverOptions::MiniSatLike()
-                            : sat::SolverOptions::SiegeLike();
+  cube_options.solver = opts.solver_options;
   cube_options.timeout_seconds = opts.timeout;
   if (!opts.positional.empty()) cube_options.run_label = opts.positional[0];
   const cube::CubeSolveResult result = cube::SolveColoringWithCubes(
-      loaded.conflict, opts.width, encode::GetEncoding(opts.encoding),
-      symmetry::HeuristicFromName(opts.sym), cube_options);
+      loaded.conflict, opts.width, opts.encoding_spec, opts.heuristic,
+      cube_options);
   if (ReportError(result.error)) return 1;
   std::printf("%s in %.3fs (%zu cubes: %zu resolved, %zu stolen, "
               "%zu+%zu pruned)\n",
@@ -449,17 +475,8 @@ int CmdRouteCube(const CliOptions& opts, const LoadedBenchmark& loaded) {
   return result.status == sat::SolveResult::kUnknown ? 1 : 0;
 }
 
-int CmdReplay(const CliOptions& opts);
-
 int CmdRoute(const CliOptions& opts) {
-  if (opts.positional.empty()) Usage();
-  if (!opts.replay_file.empty()) {
-    // `route <bench> --replay FILE` is sugar for `replay <bench> FILE`.
-    CliOptions replay = opts;
-    replay.positional = {opts.positional[0], opts.replay_file};
-    return CmdReplay(replay);
-  }
-  if (opts.width < 1) Usage();
+  if (opts.positional.empty() || opts.width < 1) Usage();
   const LoadedBenchmark loaded = LoadBenchmark(opts.positional[0]);
   if (opts.cube) return CmdRouteCube(opts, loaded);
   const auto result = flow::RouteDetailedOnGraph(loaded.conflict, opts.width,
@@ -497,8 +514,8 @@ int CmdExport(const CliOptions& opts) {
   const std::string col_path = name + ".col";
   graph::WriteDimacsColFile(loaded.conflict, col_path,
                             {"satfr conflict graph: " + name});
-  const auto sequence = symmetry::SymmetrySequence(
-      loaded.conflict, width, symmetry::HeuristicFromName(opts.sym));
+  const auto sequence =
+      symmetry::SymmetrySequence(loaded.conflict, width, opts.heuristic);
   // Stream the encoder straight to disk: the formula is never materialized,
   // so exports are bounded by the file size rather than memory.
   const std::string cnf_path =
@@ -512,9 +529,8 @@ int CmdExport(const CliOptions& opts) {
   sat::StreamingDimacsSink sink(
       cnf_out, {"satfr: " + name + " W=" + std::to_string(width) +
                 " encoding=" + opts.encoding + " sym=" + opts.sym});
-  encode::EncodeColoringToSink(loaded.conflict, width,
-                               encode::GetEncoding(opts.encoding), sequence,
-                               sink);
+  encode::EncodeColoringToSink(loaded.conflict, width, opts.encoding_spec,
+                               sequence, sink);
   if (!sink.Finish()) {
     std::fprintf(stderr, "write to '%s' failed\n", cnf_path.c_str());
     return 2;
@@ -542,9 +558,7 @@ int CmdSolve(const CliOptions& opts) {
                 static_cast<unsigned long long>(walksat.stats().flips));
     return result == sat::SolveResult::kUnknown ? 1 : 0;
   }
-  sat::Solver solver(opts.solver == "minisat"
-                         ? sat::SolverOptions::MiniSatLike()
-                         : sat::SolverOptions::SiegeLike());
+  sat::Solver solver(opts.solver_options);
   sat::SolveResult result = sat::SolveResult::kUnsat;
   if (solver.AddCnf(*cnf)) result = solver.Solve(deadline);
   std::printf("%s (%llu conflicts, %llu decisions)\n",
@@ -678,11 +692,9 @@ int CmdReplay(const CliOptions& opts) {
   const int max_width = std::max(dsatur_width, default_width);
 
   flow::RoutingSessionOptions session_options;
-  session_options.encoding = encode::GetEncoding(opts.encoding);
-  session_options.heuristic = symmetry::HeuristicFromName(opts.sym);
-  session_options.solver = opts.solver == "minisat"
-                               ? sat::SolverOptions::MiniSatLike()
-                               : sat::SolverOptions::SiegeLike();
+  session_options.encoding = opts.encoding_spec;
+  session_options.heuristic = opts.heuristic;
+  session_options.solver = opts.solver_options;
   session_options.timeout_seconds = opts.timeout;
   session_options.run_label = name;
 
@@ -860,7 +872,7 @@ int CmdServe(const CliOptions& opts) {
       request.graph = graph_for(bench);
       request.width = width;
       request.encoding = "muldirect";
-      request.symmetry = opts.sym == "s1" ? "s1" : opts.sym;
+      request.symmetry = opts.sym;
       request.solver = opts.solver;
       for (std::string kv; in >> kv;) {
         const std::size_t eq = kv.find('=');
@@ -982,7 +994,7 @@ int CmdServe(const CliOptions& opts) {
 int main(int argc, char** argv) {
   if (argc < 2) Usage();
   const std::string command = argv[1];
-  const CliOptions opts = ParseArgs(argc, argv);
+  const CliOptions opts = ParseArgs(command, argc, argv);
   const TelemetrySession telemetry(opts);
   if (command == "benchmarks") return CmdBenchmarks();
   if (command == "encodings") return CmdEncodings();

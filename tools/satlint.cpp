@@ -63,6 +63,7 @@ using namespace satfr;
 struct LintOptions {
   std::string encoding = "ITE-linear-2+muldirect";
   std::string sym = "s1";
+  symmetry::Heuristic heuristic = symmetry::Heuristic::kS1;  // from `sym`
   int width = -1;
   bool json = false;
   bool grouped = false;
@@ -106,6 +107,15 @@ LintOptions ParseArgs(int argc, char** argv) {
       opts.encoding = next();
     } else if (arg == "--sym") {
       opts.sym = next();
+      const std::optional<symmetry::Heuristic> heuristic =
+          symmetry::HeuristicFromName(opts.sym);
+      if (!heuristic) {
+        std::fprintf(stderr,
+                     "--sym: unknown name '%s' (expected b1, s1 or none)\n",
+                     opts.sym.c_str());
+        std::exit(2);
+      }
+      opts.heuristic = *heuristic;
     } else if (arg == "--width") {
       const std::string text = next();
       const std::optional<int> width = ParseInt(text);
@@ -191,8 +201,8 @@ int LintEncodings(const graph::Graph& g, int width, const LintOptions& opts,
                   const route::GlobalRouting* routing) {
   const std::vector<std::string> names = SelectedEncodings(opts.encoding);
   const analysis::AnalysisRunner runner = MakeRunner(opts);
-  const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
-      g, width, symmetry::HeuristicFromName(opts.sym));
+  const std::vector<graph::VertexId> sequence =
+      symmetry::SymmetrySequence(g, width, opts.heuristic);
   int status = 0;
   for (const std::string& name : names) {
     const auto spec = encode::FindEncoding(name);
