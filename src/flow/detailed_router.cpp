@@ -35,15 +35,10 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   encode_span.AddArg("width", obs::JsonValue(num_tracks));
 
   // The lint passes re-walk the CNF and the RUP checker re-propagates it, so
-  // both need the materialized formula; those paths also pin the symmetry
-  // sequence to this run, so a cached encoding cannot stand in for it.
+  // both need the materialized formula.
   const bool materialize = options.selfcheck || options.verify_unsat_proof;
-  const bool reuse = options.reuse_encoding != nullptr && !materialize;
-  std::vector<graph::VertexId> sequence;
-  if (!reuse) {
-    sequence = symmetry::SymmetrySequence(conflict_graph, num_tracks,
-                                          options.heuristic);
-  }
+  const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
+      conflict_graph, num_tracks, options.heuristic);
 
   sat::Solver solver(options.solver);
   // Opened on the fresh solver: the step's window covers load and solve.
@@ -53,17 +48,11 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   if (options.verify_unsat_proof) solver.SetProofLog(&proof);
 
   // Everyone except the materialized paths streams the encoder straight into
-  // the solver and never holds an intermediate Cnf — unless a cached
-  // instance is being reused, in which case its CNF bytes are loaded as-is.
-  // A load that refutes the formula leaves the solver answering kUnsat.
+  // the solver and never holds an intermediate Cnf. A load that refutes the
+  // formula leaves the solver answering kUnsat.
   encode::ColoringLayout layout;
   encode::EncodedColoring encoded;
-  if (reuse) {
-    const encode::EncodedColoring& pre = *options.reuse_encoding;
-    solver.AddCnf(pre.cnf);
-    layout = static_cast<const encode::ColoringLayout&>(pre);
-    result.reused_encoding = true;
-  } else if (materialize) {
+  if (materialize) {
     encoded = encode::EncodeColoring(conflict_graph, num_tracks,
                                      options.encoding, sequence);
     if (options.selfcheck) {

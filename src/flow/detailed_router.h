@@ -46,14 +46,6 @@ struct DetailedRouteOptions {
   /// circuit / .col file / CNF name this solve belongs to. Purely
   /// descriptive; empty is fine (records then say "graph").
   std::string run_label;
-  /// Reuse a previously materialized encoding instead of re-encoding: the
-  /// solver loads `reuse_encoding->cnf` and decoding uses its layout. The
-  /// caller guarantees it was produced from THIS conflict graph at this
-  /// width with this encoding + symmetry heuristic (the service's instance
-  /// cache keys on exactly that tuple). Ignored when selfcheck or
-  /// verify_unsat_proof is set — those must see a freshly materialized
-  /// formula tied to a symmetry sequence computed here.
-  const encode::EncodedColoring* reuse_encoding = nullptr;
 };
 
 struct DetailedRouteResult {
@@ -84,9 +76,6 @@ struct DetailedRouteResult {
   /// default); false when a Cnf was materialized because selfcheck or
   /// verify_unsat_proof needed it.
   bool streamed_encode = false;
-  /// True when the CNF was loaded from options.reuse_encoding rather than
-  /// encoded here (encode_seconds is then pure clause-load time).
-  bool reused_encoding = false;
   /// Per-category clause counts of the encoding.
   encode::ColoringCnfStats encode_stats;
 

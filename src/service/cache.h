@@ -1,20 +1,15 @@
-// Two-tier result cache for the routing service (DESIGN.md §15).
+// The routing service's verdict cache (DESIGN.md §15).
 //
-// Tier 1 — instance cache: materialized `encode::EncodedColoring` (CNF
-// bytes + variable layout), keyed by (conflict graph, W, encoding,
-// symmetry). A hit skips the symmetry sequence and the whole encoder; the
-// solver loads the cached clauses through
-// `DetailedRouteOptions::reuse_encoding`.
-//
-// Tier 2 — verdict cache: finished answers (status + tracks), keyed by the
-// instance key PLUS the solver preset (the verdict depends on which solver
+// It holds finished answers (status + tracks), keyed by (conflict graph, W,
+// encoding, symmetry, solver preset): the verdict depends on which solver
 // produced it only through timeouts, but a preset change must not alias a
-// cached answer). A hit skips everything. Each entry keeps a hit counter,
-// and every key pins the conflict graph it answered for, so the
+// cached answer. A hit skips everything; a miss is solved fresh, its
+// encoding streamed into the solver. Each entry keeps a hit counter, and
+// every key pins the conflict graph it answered for, so the
 // `service-cache-coherence` satlint pass can re-solve sampled entries fresh
 // and compare.
 //
-// Both tiers are sharded bounded LRU maps: shard = key-hash % num_shards,
+// The cache is a sharded bounded LRU map: shard = key-hash % num_shards,
 // each shard one `mc::Mutex` around an intrusive LRU list + hash index,
 // bounded by entries AND approximate heap bytes. The graph's 64-bit
 // fingerprint only hashes a key; a hit needs full key equality, which
@@ -50,8 +45,7 @@ std::uint64_t FingerprintGraph(const graph::Graph& g);
 /// What a cached answer is keyed by. Stands in for the (netlist,
 /// placement) pair: two placements of two netlists that induce the same
 /// conflict graph are the same routing instance by construction. `solver`
-/// is empty for the instance tier (an encoded CNF is solver-independent)
-/// and the preset name for the verdict tier.
+/// is the preset name ("siege", "minisat").
 struct CacheKey {
   std::shared_ptr<const graph::Graph> graph;
   std::uint64_t fingerprint = 0;  // FingerprintGraph(*graph): the hash only

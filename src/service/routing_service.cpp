@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "encode/registry.h"
+#include "flow/detailed_router.h"
 #include "symmetry/symmetry.h"
 
 namespace satfr::service {
@@ -20,13 +21,11 @@ std::uint64_t Micros(double seconds) {
 RoutingService::RoutingService(const ServiceOptions& options)
     : options_(options),
       verdicts_(options.verdict_cache),
-      instances_(options.instance_cache),
       scheduler_(options.scheduler) {
   obs::MetricsRegistry& m = metrics();
   id_requests_ = m.Counter("service.requests");
   id_session_ops_ = m.Counter("service.session_ops");
   id_verdict_hits_ = m.Counter("service.verdict_hits");
-  id_instance_hits_ = m.Counter("service.instance_hits");
   id_latency_us_ = m.Histogram("service.latency_us");
   id_queue_us_ = m.Histogram("service.queue_us");
   id_solve_us_ = m.Histogram("service.solve_us");
@@ -40,20 +39,22 @@ obs::MetricsRegistry& RoutingService::metrics() const {
                                      : obs::GlobalMetrics();
 }
 
-RoutingService::Ticket RoutingService::NewTicket(RequestKind kind) {
+std::pair<RoutingService::Ticket, std::shared_ptr<RoutingService::Pending>>
+RoutingService::NewTicket(RequestKind kind) {
+  auto pending = std::make_shared<Pending>();
+  pending->response.kind = kind;
   mc::MutexLock lock(pending_mutex_);
-  const std::uint64_t id = pending_.size();
-  pending_.emplace_back();
-  pending_.back().response.kind = kind;
+  const Ticket ticket{next_ticket_++};
+  pending_.emplace(ticket.id, pending);
   ++unsettled_;
-  return Ticket{id};
+  return {ticket, std::move(pending)};
 }
 
-RoutingService::Pending* RoutingService::PendingRef(std::uint64_t id) const {
+std::shared_ptr<RoutingService::Pending> RoutingService::PendingRef(
+    std::uint64_t id) const {
   mc::MutexLock lock(pending_mutex_);
-  if (id >= pending_.size()) return nullptr;
-  // std::deque growth never relocates elements and pending_ is append-only.
-  return const_cast<Pending*>(&pending_[static_cast<std::size_t>(id)]);
+  const auto it = pending_.find(id);
+  return it == pending_.end() ? nullptr : it->second;
 }
 
 void RoutingService::Settle(Pending& pending) {
@@ -80,12 +81,12 @@ RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
       request.graph != nullptr ? FingerprintGraph(*request.graph) : 0;
   stat_requests_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_requests_);
-  const Ticket ticket = NewTicket(RequestKind::kRoute);
-  Pending* pending = PendingRef(ticket.id);
+  const auto [ticket, pending] = NewTicket(RequestKind::kRoute);
   auto shared = std::make_shared<RouteRequest>(std::move(request));
   pending->job = scheduler_.Submit(
-      [this, shared, fingerprint, pending](const mc::Atomic<bool>& stop) {
-        ExecuteRoute(*shared, fingerprint, *pending, stop);
+      [this, shared, fingerprint,
+       slot = pending](const mc::Atomic<bool>& stop) {
+        ExecuteRoute(*shared, fingerprint, *slot, stop);
       },
       shared->priority);
   return ticket;
@@ -101,22 +102,26 @@ std::vector<RoutingService::Ticket> RoutingService::SubmitBatch(
   return tickets;
 }
 
-const Response& RoutingService::Wait(Ticket ticket) {
-  static const Response kInvalid = [] {
-    Response r;
-    r.ok = false;
-    r.error = "invalid ticket";
-    return r;
-  }();
+Response RoutingService::Wait(Ticket ticket) {
   mc::MutexLock lock(pending_mutex_);
-  if (ticket.id >= pending_.size()) return kInvalid;
-  const Pending& pending = pending_[static_cast<std::size_t>(ticket.id)];
-  while (!pending.settled) settled_cv_.wait(pending_mutex_);
-  return pending.response;
+  const auto it = pending_.find(ticket.id);
+  if (it == pending_.end()) {
+    Response invalid;
+    invalid.ok = false;
+    invalid.error = "invalid ticket";
+    return invalid;
+  }
+  // Keep the slot alive across the wait: the entry is erased only here.
+  const std::shared_ptr<Pending> pending = it->second;
+  while (!pending->settled) settled_cv_.wait(pending_mutex_);
+  // By key: submissions during the wait may have rehashed the table.
+  pending_.erase(ticket.id);
+  // The settler is done with the response once `settled` is published.
+  return std::move(pending->response);
 }
 
 bool RoutingService::Cancel(Ticket ticket) {
-  Pending* pending = PendingRef(ticket.id);
+  const std::shared_ptr<Pending> pending = PendingRef(ticket.id);
   if (pending == nullptr) return false;
   if (pending->response.kind == RequestKind::kRoute) {
     // Either the job never runs (true), or its stop flag is now set and the
@@ -191,34 +196,6 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       }
     }
 
-    const CacheKey instance_key{request.graph,    fingerprint,
-                                request.width,    request.encoding,
-                                request.symmetry, /*solver=*/""};
-    std::shared_ptr<const encode::EncodedColoring> instance;
-    if (options_.cache_instances) {
-      instance = instances_.Lookup(instance_key);
-    }
-    if (instance != nullptr) {
-      r.instance_hit = true;
-      m.Add(id_instance_hits_);
-    } else if (options_.cache_instances) {
-      // Cold encode, materialized once so the next miss on this instance
-      // (any solver preset, e.g. a timeout retry) skips it.
-      Stopwatch encode_watch;
-      const std::vector<graph::VertexId> sequence =
-          symmetry::SymmetrySequence(*request.graph, request.width,
-                                     *heuristic);
-      auto fresh = std::make_shared<encode::EncodedColoring>(
-          encode::EncodeColoring(*request.graph, request.width, *spec,
-                                 sequence));
-      r.encode_seconds = encode_watch.Seconds();
-      const std::size_t bytes =
-          fresh->cnf.ApproxHeapBytes() +
-          fresh->vertex_offset.size() * sizeof(int) + sizeof(*fresh);
-      instances_.Insert(instance_key, fresh, bytes);
-      instance = std::move(fresh);
-    }
-
     flow::DetailedRouteOptions route_options;
     route_options.encoding = *spec;
     route_options.heuristic = *heuristic;
@@ -228,7 +205,6 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
                                         : options_.timeout_seconds;
     route_options.stop = &stop;
     route_options.run_label = request.label;
-    if (instance != nullptr) route_options.reuse_encoding = instance.get();
     const flow::DetailedRouteResult result =
         flow::RouteDetailedOnGraph(*request.graph, request.width,
                                    route_options);
@@ -239,7 +215,7 @@ void RoutingService::ExecuteRoute(const RouteRequest& request,
       r.error = result.error;
     }
     r.solve_seconds = result.solve_seconds;
-    r.encode_seconds += result.encode_seconds;
+    r.encode_seconds = result.encode_seconds;
     r.cancelled = result.status == sat::SolveResult::kUnknown &&
                   stop.load(std::memory_order_relaxed);
     m.Observe(id_solve_us_, Micros(result.solve_seconds));
@@ -339,8 +315,7 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
     const std::string& client, SessionOp op) {
   stat_session_ops_.fetch_add(1, std::memory_order_relaxed);
   metrics().Add(id_session_ops_);
-  const Ticket ticket = NewTicket(op.kind);
-  Pending* pending = PendingRef(ticket.id);
+  const auto [ticket, pending] = NewTicket(op.kind);
   std::shared_ptr<Session> session;
   {
     mc::MutexLock lock(sessions_mutex_);
@@ -393,7 +368,8 @@ void RoutingService::PumpSession(const std::shared_ptr<Session>& session) {
 }
 
 void RoutingService::ExecuteSessionOp(Session& session, const SessionOp& op) {
-  Pending* pending = PendingRef(op.ticket);
+  // Still held: only Wait releases a ticket, and only once it is settled.
+  const std::shared_ptr<Pending> pending = PendingRef(op.ticket);
   Response& r = pending->response;
   obs::MetricsRegistry& m = metrics();
   m.Observe(id_queue_us_, Micros(pending->submitted.Seconds()));
@@ -443,9 +419,12 @@ ServiceStats RoutingService::stats() const {
   ServiceStats stats;
   stats.scheduler = scheduler_.stats();
   stats.verdicts = verdicts_.stats();
-  stats.instances = instances_.stats();
   stats.requests = stat_requests_.load(std::memory_order_relaxed);
   stats.session_ops = stat_session_ops_.load(std::memory_order_relaxed);
+  {
+    mc::MutexLock lock(pending_mutex_);
+    stats.tickets_held = pending_.size();
+  }
   {
     mc::MutexLock lock(sessions_mutex_);
     stats.sessions_open = sessions_.size();

@@ -1,22 +1,21 @@
 // The long-lived routing service (DESIGN.md §15): batched asynchronous
-// routing queries over a worker pool, answered through a two-tier cache,
+// routing queries over a worker pool, answered through one verdict cache,
 // with per-client incremental sessions.
 //
-// Request path, in decreasing order of cheapness:
+// Request path:
 //
 //   1. Verdict-cache hit (one shard mutex) — answers any repeat query.
-//   2. Instance-cache hit — skips symmetry + encode; the cached CNF loads
-//      into a fresh solver via DetailedRouteOptions::reuse_encoding.
-//   3. Full miss — encode once (materialized into the instance cache),
-//      solve, insert the verdict.
+//   2. Miss — flow::RouteDetailedOnGraph streams the encoder straight into
+//      a fresh solver (no intermediate Cnf is built or kept), solves, and
+//      the verdict is inserted.
 //
-// Both tiers key on the conflict graph itself (CacheKey), hashed by its
-// fingerprint, so a hit is always an answer for an equal graph.
+// The verdict cache keys on the conflict graph itself (CacheKey), hashed by
+// its fingerprint, so a hit is always an answer for an equal graph.
 //
-// Every solve, hit or miss, goes through flow::RouteDetailedOnGraph, so
-// the service inherits the flow's telemetry (trace spans, run records,
-// flow.solves) and its timeout/stop handling; the scheduler's per-job
-// stop atomic IS the solver stop flag.
+// Every miss goes through flow::RouteDetailedOnGraph, so the service
+// inherits the flow's telemetry (trace spans, run records, flow.solves) and
+// its timeout/stop handling; the scheduler's per-job stop atomic IS the
+// solver stop flag.
 //
 // Sessions: a client that opens a session gets a resident
 // flow::RoutingSession. Session ops (rip-up / re-route / solve) are FIFO
@@ -28,7 +27,9 @@
 // Every ticket is settled exactly once — its response written, then
 // published under one mutex — by the worker that ran it or by the Cancel
 // that removed it from its queue. Wait and Drain block on that mutex's
-// condition variable; nothing polls.
+// condition variable; nothing polls. Wait hands the response out by value
+// and releases the ticket, so the ticket table holds only tickets nobody
+// has collected yet.
 #ifndef SATFR_SERVICE_ROUTING_SERVICE_H_
 #define SATFR_SERVICE_ROUTING_SERVICE_H_
 
@@ -38,16 +39,17 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "analysis/pass.h"
 #include "common/stopwatch.h"
-#include "flow/detailed_router.h"
 #include "flow/routing_session.h"
 #include "graph/graph.h"
 #include "mc/annotations.h"
 #include "mc/shim.h"
 #include "obs/metrics.h"
+#include "sat/solver.h"
 #include "service/cache.h"
 #include "service/scheduler.h"
 
@@ -58,10 +60,11 @@ struct ServiceOptions {
   CacheTierOptions verdict_cache{/*num_shards=*/8,
                                  /*max_entries_per_shard=*/256,
                                  /*max_bytes_per_shard=*/8u << 20};
-  CacheTierOptions instance_cache{/*num_shards=*/8,
-                                  /*max_entries_per_shard=*/32,
-                                  /*max_bytes_per_shard=*/64u << 20};
   bool cache_verdicts = true;
+  /// Accepted and ignored: there is no instance tier, every miss streams
+  /// its encoding into the solver. Stays only because perfbench's
+  /// service_mix still sets it; the benchmark change of ROADMAP item 1
+  /// removes that last writer, and this field with it.
   bool cache_instances = true;
   /// Per-request wall-clock budget (overridable per request); <= 0 means
   /// unlimited.
@@ -99,7 +102,10 @@ struct Response {
   /// Session delta ops: emission/apply cost inside the resident solver.
   double apply_seconds = 0.0;
   bool verdict_hit = false;   // answered by the verdict tier
-  bool instance_hit = false;  // encode skipped via the instance tier
+  /// Always false (there is no instance tier). Stays only because
+  /// perfbench's service_mix still reads it; the benchmark change of
+  /// ROADMAP item 1 removes that last reader, and this field with it.
+  bool instance_hit = false;
   bool cancelled = false;
   bool ok = true;             // false: malformed request / session error
   std::string error;
@@ -108,6 +114,10 @@ struct Response {
 struct ServiceStats {
   SchedulerStats scheduler;
   CacheTierStats verdicts;
+  /// Always zero (there is no instance tier). Stays only because
+  /// perfbench's service_mix still reads `instances.hits`; the benchmark
+  /// change of ROADMAP item 1 removes that last reader, and this field
+  /// with it.
   CacheTierStats instances;
   std::uint64_t requests = 0;
   /// Always 0: every repeat is answered by the verdict tier. The field stays
@@ -117,6 +127,9 @@ struct ServiceStats {
   std::uint64_t summary_hits = 0;
   std::uint64_t session_ops = 0;
   std::uint64_t sessions_open = 0;
+  /// Tickets issued but not yet collected by Wait; a ticket nobody waits
+  /// on stays held until the service is destroyed.
+  std::uint64_t tickets_held = 0;
 };
 
 class RoutingService {
@@ -140,8 +153,10 @@ class RoutingService {
   /// awaited, so N requests share the pool instead of serializing.
   std::vector<Ticket> SubmitBatch(std::vector<RouteRequest> requests);
 
-  /// Blocks until the ticket's work finished (or was cancelled).
-  const Response& Wait(Ticket ticket);
+  /// Blocks until the ticket's work finished (or was cancelled), then
+  /// hands out its response and releases the ticket: a second Wait on it
+  /// answers "invalid ticket", and Cancel on it returns false.
+  Response Wait(Ticket ticket);
   /// Cancels: a queued request or session op never runs (true); a running
   /// route gets its stop flag (the solver aborts at its next check and
   /// reports kUnknown). A running or finished session op is not stopped.
@@ -214,8 +229,11 @@ class RoutingService {
   };
 
   obs::MetricsRegistry& metrics() const;
-  Ticket NewTicket(RequestKind kind);
-  Pending* PendingRef(std::uint64_t id) const;
+  /// Issues a ticket and returns its slot; the slot is shared so that a
+  /// worker or a Cancel holding it outlives the Wait that releases it.
+  std::pair<Ticket, std::shared_ptr<Pending>> NewTicket(RequestKind kind);
+  /// Null once the ticket was collected by Wait (or was never issued).
+  std::shared_ptr<Pending> PendingRef(std::uint64_t id) const;
   /// Records latency metrics and makes the response visible to Wait. The
   /// caller is the ticket's only writer: the worker that ran it, or the
   /// Cancel that removed it from its queue.
@@ -231,14 +249,15 @@ class RoutingService {
 
   const ServiceOptions options_;
   ShardedLruCache<VerdictEntry> verdicts_;
-  ShardedLruCache<encode::EncodedColoring> instances_;
 
   // Guards the ticket table and every ticket's `settled` flag;
   // settled_cv_ is notified under it whenever a ticket settles.
   mutable mc::Mutex pending_mutex_;
   std::condition_variable_any settled_cv_;
-  // deque: append-only; workers hold Pending* across later submissions.
-  std::deque<Pending> pending_ SATFR_GUARDED_BY(pending_mutex_);
+  // Issued, not yet collected tickets; Wait erases its ticket's entry.
+  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_
+      SATFR_GUARDED_BY(pending_mutex_);
+  std::uint64_t next_ticket_ SATFR_GUARDED_BY(pending_mutex_) = 0;
   std::uint64_t unsettled_ SATFR_GUARDED_BY(pending_mutex_) = 0;
 
   mutable mc::Mutex sessions_mutex_;
@@ -252,7 +271,6 @@ class RoutingService {
   obs::MetricId id_requests_;
   obs::MetricId id_session_ops_;
   obs::MetricId id_verdict_hits_;
-  obs::MetricId id_instance_hits_;
   obs::MetricId id_latency_us_;
   obs::MetricId id_queue_us_;
   obs::MetricId id_solve_us_;

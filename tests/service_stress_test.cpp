@@ -112,7 +112,6 @@ TEST(ServiceStress, ServiceFrontDoorUnderConcurrentClients) {
   ServiceOptions options;
   options.scheduler.num_workers = 2;
   options.verdict_cache = CacheTierOptions{2, 2, 1u << 20};
-  options.instance_cache = CacheTierOptions{2, 2, 1u << 20};
   RoutingService svc(options);
 
   graph::Graph triangle(3);

@@ -1,6 +1,6 @@
-// Functional tests for src/service: the cache tiers and their keys, the
-// job scheduler, the routing service end-to-end (verdict equivalence with
-// the direct flow, both hit paths, kUnknown never cached), per-client
+// Functional tests for src/service: the verdict cache and its keys, the
+// job scheduler, the routing service end-to-end (a miss matches the direct
+// flow, repeats hit, kUnknown never cached, tickets are released), per-client
 // sessions, and the service-cache-coherence satlint pass.
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 
 #include "analysis/pass.h"
 #include "analysis/runner.h"
+#include "common/rng.h"
 #include "flow/detailed_router.h"
 #include "graph/graph.h"
 #include "service/cache.h"
@@ -75,10 +76,6 @@ TEST(CacheKey, HashAndEqualitySeparateEveryField) {
   other = base;
   other.solver = "minisat";
   EXPECT_FALSE(base == other);
-  EXPECT_NE(base.Hash(), other.Hash());
-
-  other = base;
-  other.solver.clear();  // the instance-tier spelling of the same instance
   EXPECT_NE(base.Hash(), other.Hash());
 }
 
@@ -448,20 +445,72 @@ TEST(RoutingService, EqualGraphFromAFreshPointerHitsButADifferentOneMisses) {
   EXPECT_EQ(other.status, sat::SolveResult::kSat);
 }
 
-TEST(RoutingService, SolverPresetChangesVerdictKeyButSharesInstance) {
+TEST(RoutingService, SolverPresetReAskIsAFreshlyEncodedMiss) {
   ServiceOptions options;
   options.scheduler.num_workers = 1;
   RoutingService svc(options);
   const auto g = std::make_shared<const graph::Graph>(TriangleLadder());
 
-  svc.Wait(svc.Submit(TriangleRequest(g, 3)));  // cold: fills both tiers
+  svc.Wait(svc.Submit(TriangleRequest(g, 3)));  // cold: caches the verdict
   RouteRequest other = TriangleRequest(g, 3);
   other.solver = "minisat";
   const Response& r = svc.Wait(svc.Submit(other));
   EXPECT_EQ(r.status, sat::SolveResult::kSat);
-  EXPECT_FALSE(r.verdict_hit);   // different verdict key
-  EXPECT_TRUE(r.instance_hit);   // same encoded CNF
-  EXPECT_EQ(svc.stats().instances.entries, 1u);
+  EXPECT_FALSE(r.verdict_hit);  // different verdict key
+  EXPECT_TRUE(g->IsProperColoring(r.tracks, 3));
+  EXPECT_GT(r.encode_seconds, 0.0);  // encoded again, streamed
+  EXPECT_EQ(svc.stats().verdicts.entries, 2u);
+}
+
+// A seeded random graph, big enough that the model picks among many
+// colorings, so identical tracks mean the solver saw the same formula.
+graph::Graph RandomGraph(int vertices, int edges, std::uint64_t seed) {
+  graph::Graph g(vertices);
+  Rng rng(seed);
+  while (g.num_edges() < static_cast<std::size_t>(edges)) {
+    const auto u = static_cast<graph::VertexId>(rng.NextBelow(vertices));
+    const auto v = static_cast<graph::VertexId>(rng.NextBelow(vertices));
+    if (u != v) g.AddEdge(u, v);
+  }
+  return g;
+}
+
+TEST(RoutingService, ColdMissMatchesDirectFlowExactly) {
+  const auto g =
+      std::make_shared<const graph::Graph>(RandomGraph(40, 200, 7));
+  for (const char* encoding : {"muldirect", "ITE-linear-2+muldirect"}) {
+    for (const char* preset : {"siege", "minisat"}) {
+      flow::DetailedRouteOptions direct;
+      direct.encoding = encode::GetEncoding(encoding);
+      direct.heuristic = symmetry::Heuristic::kS1;
+      direct.solver = *sat::FindSolverPreset(preset);
+      // The smallest SAT width W; W-1 is then UNSAT.
+      int width = 1;
+      while (flow::RouteDetailedOnGraph(*g, width, direct).status !=
+             sat::SolveResult::kSat) {
+        ++width;
+      }
+      ASSERT_GE(width, 2);
+      for (const int w : {width - 1, width}) {
+        const flow::DetailedRouteResult expected =
+            flow::RouteDetailedOnGraph(*g, w, direct);
+        RoutingService svc;  // fresh: the request can only be a cold miss
+        RouteRequest request;
+        request.graph = g;
+        request.width = w;
+        request.encoding = encoding;
+        request.symmetry = "s1";
+        request.solver = preset;
+        const Response r = svc.Wait(svc.Submit(std::move(request)));
+        SCOPED_TRACE(std::string(encoding) + "/" + preset + "/W" +
+                     std::to_string(w));
+        ASSERT_TRUE(r.ok) << r.error;
+        EXPECT_FALSE(r.verdict_hit);
+        EXPECT_EQ(r.status, expected.status);
+        EXPECT_EQ(r.tracks, expected.tracks);
+      }
+    }
+  }
 }
 
 TEST(RoutingService, MalformedRequestsSettleAsErrors) {
@@ -522,6 +571,34 @@ TEST(RoutingService, BatchSubmitSettlesEveryTicket) {
                                    : sat::SolveResult::kUnsat);
   }
   svc.Drain();
+}
+
+TEST(RoutingService, WaitReleasesItsTicket) {
+  ServiceOptions options;
+  options.scheduler.num_workers = 2;
+  RoutingService svc(options);
+  const auto g = std::make_shared<const graph::Graph>(TriangleLadder());
+  std::string error;
+  ASSERT_TRUE(svc.OpenSession("c", g, 3, "muldirect", "none", &error))
+      << error;
+  for (int i = 0; i < 1000; ++i) {
+    const RoutingService::Ticket ticket =
+        i % 4 == 3 ? svc.SubmitSessionSolve("c", 3)
+                   : svc.Submit(TriangleRequest(g, 2 + i % 2));
+    ASSERT_TRUE(svc.Wait(ticket).ok);
+  }
+  EXPECT_EQ(svc.stats().tickets_held, 0u);
+
+  // A collected ticket is gone: Wait answers "invalid ticket" and Cancel
+  // finds nothing to cancel.
+  const RoutingService::Ticket ticket = svc.Submit(TriangleRequest(g, 3));
+  EXPECT_EQ(svc.stats().tickets_held, 1u);
+  EXPECT_TRUE(svc.Wait(ticket).ok);
+  const Response again = svc.Wait(ticket);
+  EXPECT_FALSE(again.ok);
+  EXPECT_EQ(again.error, "invalid ticket");
+  EXPECT_FALSE(svc.Cancel(ticket));
+  EXPECT_EQ(svc.stats().tickets_held, 0u);
 }
 
 // --- sessions --------------------------------------------------------------

@@ -20,7 +20,12 @@
 //                                          file (see below); --workers N
 //                                          sizes the pool, --selfcheck
 //                                          audits the verdict cache against
-//                                          fresh solves at shutdown
+//                                          fresh solves at shutdown;
+//                                          --encoding/--sym (default
+//                                          ITE-linear-2+muldirect, s1) apply
+//                                          to every route and session,
+//                                          --solver (default siege) to every
+//                                          route
 //
 // Common options (an unknown --encoding, --sym or --solver name exits 2):
 //   --encoding NAME   (default ITE-linear-2+muldirect; see `satfr encodings`)
@@ -55,9 +60,11 @@
 // Serve trace format (one event per line; `#` starts a comment):
 //   route <benchmark> <width> [k=v...]  submit one routing query; optional
 //                       k=v tokens: prio=N (scheduler priority), enc=NAME,
-//                       sym=b1|s1|none, solver=siege|minisat
+//                       sym=b1|s1|none, solver=siege|minisat override
+//                       --encoding/--sym/--solver for this route
 //   session <client> <benchmark> [maxwidth]  open an incremental session
-//                       for <client> (encoded once; its ops run in order)
+//                       for <client> under --encoding/--sym (encoded once;
+//                       its ops run in order)
 //   ripup <client> <net>                rip up net in the client's session
 //   reroute <client> <net> [p1 p2...]   re-route net against partners
 //   solve <client> [width]              solve the client's session state
@@ -828,10 +835,9 @@ int CmdServe(const CliOptions& opts) {
       }
       if (r.kind == service::RequestKind::kRoute) {
         route_latency.push_back(r.latency_seconds);
-        std::printf("%s: %s in %.0fus%s%s%s\n", out.what.c_str(),
+        std::printf("%s: %s in %.0fus%s%s\n", out.what.c_str(),
                     sat::ToString(r.status), r.latency_seconds * 1e6,
                     r.verdict_hit ? " [verdict]" : "",
-                    r.instance_hit ? " [instance]" : "",
                     r.cancelled ? " [cancelled]" : "");
       } else {
         std::printf("%s: %s%.0fus\n", out.what.c_str(),
@@ -871,7 +877,7 @@ int CmdServe(const CliOptions& opts) {
       request.label = bench;
       request.graph = graph_for(bench);
       request.width = width;
-      request.encoding = "muldirect";
+      request.encoding = opts.encoding;
       request.symmetry = opts.sym;
       request.solver = opts.solver;
       for (std::string kv; in >> kv;) {
@@ -909,7 +915,7 @@ int CmdServe(const CliOptions& opts) {
       int max_width = 0;
       if (!(in >> max_width)) max_width = peaks[bench] + 1;
       std::string error;
-      if (!svc.OpenSession(client, g, max_width, "muldirect", "none",
+      if (!svc.OpenSession(client, g, max_width, opts.encoding, opts.sym,
                            &error)) {
         return trace_error("session '" + client + "': " + error);
       }
@@ -966,14 +972,10 @@ int CmdServe(const CliOptions& opts) {
                 Percentile(route_latency, 0.95) * 1e6,
                 Percentile(route_latency, 0.99) * 1e6);
   }
-  std::printf("verdict cache: %llu/%llu hit(s), %llu resident; instance "
-              "cache: %llu/%llu hit(s), %llu resident\n",
+  std::printf("verdict cache: %llu/%llu hit(s), %llu resident\n",
               static_cast<unsigned long long>(stats.verdicts.hits),
               static_cast<unsigned long long>(stats.verdicts.lookups),
-              static_cast<unsigned long long>(stats.verdicts.entries),
-              static_cast<unsigned long long>(stats.instances.hits),
-              static_cast<unsigned long long>(stats.instances.lookups),
-              static_cast<unsigned long long>(stats.instances.entries));
+              static_cast<unsigned long long>(stats.verdicts.entries));
 
   if (opts.selfcheck) {
     const std::vector<analysis::CoherenceSample> samples =
