@@ -73,13 +73,17 @@ class NetGroupHygienePass final : public AnalysisPass {
     }
 
     // Pairwise-disjoint ranges: sorted by begin, each must end before the
-    // next begins.
+    // next begins. Ties sort by end, so an empty range (a net that emitted
+    // no clause) precedes the group starting at the same ordinal instead
+    // of reading as overlapped by it.
     std::vector<const NetGroup*> by_begin;
     by_begin.reserve(table.groups.size());
     for (const NetGroup& group : table.groups) by_begin.push_back(&group);
     std::sort(by_begin.begin(), by_begin.end(),
               [](const NetGroup* a, const NetGroup* b) {
-                return a->clause_begin < b->clause_begin;
+                return a->clause_begin != b->clause_begin
+                           ? a->clause_begin < b->clause_begin
+                           : a->clause_end < b->clause_end;
               });
     std::vector<char> in_group(clauses.size(), 0);
     for (std::size_t i = 0; i < by_begin.size(); ++i) {

@@ -65,8 +65,8 @@ struct CubeSet {
 
 /// Builds cubes for the K-coloring of `g` encoded with `domain`, where K =
 /// `branch_colors` is the number of colors a vertex may take (<=
-/// domain.domain_size; smaller when a guard ladder restricts the encoded
-/// K_max-domain formula to width W — see flow/incremental_min_width).
+/// domain.domain_size; smaller when the formula's own clauses forbid the
+/// higher colors, as a width guard ladder does).
 /// `symmetry_sequence` must be the exact sequence the formula was encoded
 /// with (its restriction clauses are what make symmetry pruning sound).
 CubeSet GenerateCubes(const graph::Graph& g,

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "encode/hierarchical.h"
-#include "encode/net_group.h"
 #include "graph/graph.h"
 #include "sat/cnf.h"
 #include "sat/clause_sink.h"
@@ -84,53 +83,6 @@ EncodedColoring EncodeColoring(
 /// groups) use it to fix the base numbering up front.
 ColoringLayout MakeColoringLayout(const graph::Graph& g, int num_colors,
                                   const EncodingSpec& spec);
-
-/// Emits one net's clause group into `sink`: BeginGroup(net), the vertex's
-/// structural clauses, its symmetry restriction (if `symmetry_position` >
-/// 0: the net is the symmetry sequence's `symmetry_position`-th vertex,
-/// 1-based, so colors >= symmetry_position are forbidden), and one conflict
-/// clause per owned edge per color — then EndGroup. Returns the group's
-/// activation variable.
-///
-/// `owned_partners` are the *other* endpoints of the conflict edges this
-/// net owns; every conflict edge must be owned by exactly one endpoint
-/// across the whole emission or conflicts would be emitted twice (harmless)
-/// or zero times (unsound). `partner_guards` is parallel to
-/// `owned_partners`: the i-th guard (typically the negation of the
-/// partner's own activation literal) is appended to every conflict clause
-/// of that edge, so the edge dies when EITHER endpoint's group is retired —
-/// a rip-up never needs to touch the surviving partner's clauses.
-sat::Var EmitNetGroup(const ColoringLayout& layout, graph::VertexId net,
-                      int symmetry_position,
-                      const std::vector<graph::VertexId>& owned_partners,
-                      const std::vector<sat::Lit>& partner_guards,
-                      NetGroupedSink& sink, ColoringCnfStats* stats);
-
-/// Streams the K-coloring of `g` grouped by net: every vertex's clauses —
-/// structural, symmetry restriction, and the conflict clauses of the edges
-/// it owns (owner = the larger endpoint id) — go into one NetGroupedSink
-/// group guarded by that net's activation literal; conflict clauses
-/// additionally carry the partner's guard (they die when either endpoint is
-/// deactivated). The conjunction of all groups under their assumed
-/// activation literals is equisatisfiable with EncodeColoringToSink's
-/// output; total clause count matches ExpectedColoringClauses exactly
-/// (grouping adds literals per clause, not clauses).
-ColoringLayout EncodeColoringGrouped(
-    const graph::Graph& g, int num_colors, const EncodingSpec& spec,
-    const std::vector<graph::VertexId>& symmetry_sequence,
-    NetGroupedSink& sink);
-
-/// Emits the width-guard ladder over an already declared layout of
-/// K = layout.num_colors colors. For every W in [first_width, K) a guard
-/// variable g_W is allocated, consecutively from the sink's next variable;
-/// then, per W in increasing order, the binary ~g_W \/ g_{W+1} (when
-/// W+1 < K) and, per vertex v, NegateCube(value_cubes[W], offset_v) \/ ~g_W.
-/// So g_W forbids track W everywhere and implies g_{W+1}: assuming g_W
-/// caps the usable tracks at W, and assuming no guard leaves all K.
-/// Returns the guards indexed by width (K entries, -1 below first_width).
-std::vector<sat::Var> EmitWidthLadder(const ColoringLayout& layout,
-                                      int first_width,
-                                      sat::ClauseSink& sink);
 
 /// Exact number of clauses EncodeColoringToSink will emit for this
 /// instance/domain/sequence combination — used for ReserveClauses up front.

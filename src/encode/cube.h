@@ -65,7 +65,7 @@ void EmitConflictClause(const Cube& a, int offset_a, const Cube& b,
 
 /// Emits ConflictClause(a, offset_a, b, offset_b) with `guard` appended —
 /// the cross-group guard of the net-grouped emission (see
-/// EmitNetGroup): the clause is vacuous whenever `guard` is true.
+/// flow::RoutingSession): the clause is vacuous whenever `guard` is true.
 void EmitGuardedConflictClause(const Cube& a, int offset_a, const Cube& b,
                                int offset_b, sat::Lit guard,
                                sat::ClauseSink& sink, sat::Clause& scratch);

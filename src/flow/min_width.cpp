@@ -30,24 +30,25 @@ MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
       return result;  // timed out or failed the model check; min_width -1
     }
     if (attempt.status == sat::SolveResult::kSat) {
+      if (width > 1 && !have_previous) {
+        // First probe was already SAT; prove width-1 unroutable explicitly.
+        previous =
+            RouteDetailedOnGraph(conflict_graph, width - 1, options.route);
+        if (previous.status == sat::SolveResult::kSat) {
+          // A SAT answer below the caller's bound: the bound was wrong, and
+          // `width` is not the minimum. Never report it as one.
+          result.error = "lower bound " + std::to_string(width) +
+                         " is above the minimum width: width " +
+                         std::to_string(width - 1) + " routes";
+          return result;
+        }
+        have_previous = previous.status == sat::SolveResult::kUnsat;
+        if (!have_previous) result.error = std::move(previous.error);
+      }
       result.min_width = width;
       result.routable = std::move(attempt);
-      if (width == 1) {
-        result.proven_optimal = true;
-      } else if (have_previous) {
-        result.proven_optimal = true;
-        result.unroutable = std::move(previous);
-      } else {
-        // First probe was already SAT; prove width-1 unroutable explicitly.
-        DetailedRouteResult proof =
-            RouteDetailedOnGraph(conflict_graph, width - 1, options.route);
-        if (proof.status == sat::SolveResult::kUnsat) {
-          result.proven_optimal = true;
-          result.unroutable = std::move(proof);
-        } else {
-          result.error = std::move(proof.error);
-        }
-      }
+      result.proven_optimal = width == 1 || have_previous;
+      if (have_previous) result.unroutable = std::move(previous);
       return result;
     }
     previous = std::move(attempt);  // UNSAT at this width

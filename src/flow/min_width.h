@@ -22,9 +22,11 @@ struct MinWidthOptions {
 
 struct MinWidthResult {
   /// Smallest W with a detailed routing; -1 if the search failed (timeout,
-  /// max_width exceeded, or a model that failed the model check).
+  /// max_width exceeded, a model that failed the model check, or a
+  /// `congestion_lower_bound` with a routing one width below it).
   int min_width = -1;
-  /// The failing width's DetailedRouteResult::error, if any.
+  /// The failing width's DetailedRouteResult::error, or the bad lower
+  /// bound, if any.
   std::string error;
   /// Congestion lower bound the search started from.
   int lower_bound = 1;

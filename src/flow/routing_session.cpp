@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "encode/cube.h"
 #include "flow/solve_step.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,6 +29,37 @@ struct DeltaMetrics {
     micros = obs::GlobalMetrics().Histogram("session.delta_micros");
   }
 };
+
+// Emits the width guard ladder over `layout` (K = layout.num_colors): one
+// guard g_W per W in [1, K), numbered consecutively from the sink's next
+// variable; then, per W in increasing order, the binary ~g_W \/ g_{W+1}
+// (when W+1 < K) and, per vertex v, ~cube_v(W) \/ ~g_W. So g_W forbids
+// track W everywhere and implies g_{W+1}: assuming g_W caps the usable
+// tracks at W, and assuming no guard leaves all K. Returns the guards
+// indexed by width (K entries, -1 at width 0).
+std::vector<sat::Var> EmitWidthLadder(const encode::ColoringLayout& layout,
+                                      sat::ClauseSink& sink) {
+  const int k = layout.num_colors;
+  std::vector<sat::Var> guard(static_cast<std::size_t>(k), -1);
+  for (int w = 1; w < k; ++w) {
+    guard[static_cast<std::size_t>(w)] = sink.EmitVar();
+  }
+  sat::Clause scratch;
+  for (int w = 1; w < k; ++w) {
+    const sat::Var g = guard[static_cast<std::size_t>(w)];
+    if (w + 1 < k) {
+      sink.EmitBinary(sat::Lit::Neg(g),
+                      sat::Lit::Pos(guard[static_cast<std::size_t>(w + 1)]));
+    }
+    for (const int offset : layout.vertex_offset) {
+      scratch = encode::NegateCube(
+          layout.domain.value_cubes[static_cast<std::size_t>(w)], offset);
+      scratch.push_back(sat::Lit::Neg(g));
+      sink.EmitClause(scratch);
+    }
+  }
+  return guard;
+}
 
 void RecordDelta(double seconds) {
   static DeltaMetrics metrics;
@@ -77,10 +109,9 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
         static_cast<int>(j) + 1;
   }
 
-  // Width guard ladder (encode::EmitWidthLadder): assuming g_W caps the
-  // usable tracks at W. Emitted outside every group — the ladder is
-  // graph-independent, so no delta ever touches it.
-  guard_ = encode::EmitWidthLadder(layout_, 1, *grouped_);
+  // Emitted outside every group — the ladder is graph-independent, so no
+  // delta ever touches it.
+  guard_ = EmitWidthLadder(layout_, *grouped_);
 
   // Everything from here up is the base numbering; everything from here on
   // is a selector.
@@ -116,18 +147,41 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
 }
 
 void RoutingSession::EmitGroup(graph::VertexId net) {
-  const std::vector<graph::VertexId>& owned =
-      owned_[static_cast<std::size_t>(net)];
-  guard_scratch_.clear();
-  for (const graph::VertexId u : owned) {
+  encode::NetGroupedSink& sink = *grouped_;
+  const int offset = layout_.vertex_offset[static_cast<std::size_t>(net)];
+  sat::Clause scratch;
+  const sat::Var selector = sink.BeginGroup(net);
+  for (const sat::Clause& clause : layout_.domain.structural) {
+    encode::EmitShiftedClause(clause, offset, sink, scratch);
+  }
+  // The restriction "sequence vertex j (1-based) uses colors < j" is sound
+  // for any edge set — renaming the sequence vertices' color classes in
+  // first-appearance order satisfies it for every proper coloring — so a
+  // re-emitted group keeps its original position even after the graph
+  // around it changed.
+  const int position = sym_position_[static_cast<std::size_t>(net)];
+  if (position > 0) {
+    for (int d = position; d < layout_.num_colors; ++d) {
+      encode::EmitNegatedCube(
+          layout_.domain.value_cubes[static_cast<std::size_t>(d)], offset,
+          sink, scratch);
+    }
+  }
+  for (const graph::VertexId u : owned_[static_cast<std::size_t>(net)]) {
     // Partners are active, so their selectors are live; the cross guard
     // makes each conflict clause vacuous the moment the partner retires.
-    guard_scratch_.push_back(
-        sat::Lit::Neg(activation_[static_cast<std::size_t>(u)]));
+    const sat::Lit partner_guard =
+        sat::Lit::Neg(activation_[static_cast<std::size_t>(u)]);
+    const int offset_u = layout_.vertex_offset[static_cast<std::size_t>(u)];
+    for (int d = 0; d < layout_.num_colors; ++d) {
+      const encode::Cube& cube =
+          layout_.domain.value_cubes[static_cast<std::size_t>(d)];
+      encode::EmitGuardedConflictClause(cube, offset_u, cube, offset,
+                                        partner_guard, sink, scratch);
+    }
   }
-  activation_[static_cast<std::size_t>(net)] = encode::EmitNetGroup(
-      layout_, net, sym_position_[static_cast<std::size_t>(net)], owned,
-      guard_scratch_, *grouped_, nullptr);
+  sink.EndGroup();
+  activation_[static_cast<std::size_t>(net)] = selector;
   ++session_stats_.groups_emitted;
 }
 

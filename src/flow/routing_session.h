@@ -3,17 +3,18 @@
 // resident solver.
 //
 // The paper's flow re-extracts the conflict graph and re-encodes the whole
-// channel for every query; the guard-ladder sweep (incremental_min_width)
-// already avoided re-encoding across *widths*. RoutingSession pushes the
-// same activation-literal pattern down to the *net* granularity:
+// channel for every query. RoutingSession encodes once and answers every
+// later query with assumptions: a width guard ladder selects the *width*,
+// and one activation literal per net selects the *nets*:
 //
 //   * Construction encodes the initial conflict graph at `max_width` once,
 //     streamed through a NetGroupedSink into the resident solver. Every
 //     net's clauses — structural, symmetry restriction, and the conflict
 //     clauses of the edges it owns — live in one group guarded by the net's
 //     activation literal. The width guard ladder (g_W forbids track W
-//     everywhere and implies g_{W+1}) is emitted unguarded on top, so
-//     Solve(W) is one SolveWithAssumptions({g_W} + active selectors) call.
+//     everywhere and implies g_{W+1}) is emitted unguarded ahead of the
+//     groups, so Solve(W) is one SolveWithAssumptions({g_W} + active
+//     selectors) call. The session is the ladder's only writer.
 //
 //   * Every conflict clause carries BOTH endpoints' guards
 //     (~a_owner v ~a_partner v conflict), so an edge dies the moment either
@@ -162,7 +163,9 @@ class RoutingSession {
   graph::Graph ActiveConflictGraph() const;
 
  private:
-  // Re-emits `net`'s group from current ownership under a fresh selector.
+  // Emits `net`'s group under a fresh selector: its structural clauses,
+  // its symmetry restriction, and one conflict clause per owned edge per
+  // color, each carrying the partner's negated selector as cross guard.
   void EmitGroup(graph::VertexId net);
   // Retires `net`'s current group in the resident solver.
   void RetireGroup(graph::VertexId net);
@@ -195,7 +198,6 @@ class RoutingSession {
 
   SessionStats session_stats_;
   std::vector<sat::Lit> assumptions_;    // scratch for Solve
-  std::vector<sat::Lit> guard_scratch_;  // scratch for EmitGroup
   // High-water marks of the last run-report record (per-record windows).
   std::uint64_t reported_deltas_ = 0;
   std::uint64_t reported_retired_ = 0;

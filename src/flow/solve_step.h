@@ -1,7 +1,7 @@
-// The one solve step of RouteDetailed*, the incremental sweep and
-// RoutingSession::Solve: telemetry observer, trace span, the SAT call, the
-// solver-stats window and the run record. A caller sets only the record
-// fields its own path knows (formula size, coloring time, session deltas).
+// The one solve step of RouteDetailed* and RoutingSession::Solve: telemetry
+// observer, trace span, the SAT call, the solver-stats window and the run
+// record. A caller sets only the record fields its own path knows (formula
+// size, coloring time, session deltas).
 #pragma once
 
 #include <optional>

@@ -1,8 +1,9 @@
 // Structured run reports: one JSONL record per solve.
 //
-// Every solve path — `flow::RouteDetailedOnGraph`, both min-width sweeps,
-// the portfolio runner, the cube pool — appends a RunRecord to the writer
-// installed via SetGlobalReport (the CLI's `--report FILE`). A record
+// Every solve path — `flow::RouteDetailedOnGraph` (and with it the
+// min-width sweep and the portfolio runner), `flow::RoutingSession`, the
+// cube pool — appends a RunRecord to the writer installed via
+// SetGlobalReport (the CLI's `--report FILE`). A record
 // carries the verdict, stage timings, the solver-window stats (propagations
 // / conflicts / restarts / learned over exactly the window this record
 // covers), learnt-DB tier sizes, the LBD histogram, peak clause memory, and
@@ -32,8 +33,7 @@ namespace satfr::obs {
 struct RunRecord {
   // ---- context ----
   std::string instance;   // run label: MCNC circuit, .col file, "cnf", ...
-  std::string phase;      // "route", "min_width", "incremental",
-                          // "portfolio", "session"
+  std::string phase;      // "route", "session" or "cube"
   std::string encoding;
   std::string symmetry;
   int width = 0;

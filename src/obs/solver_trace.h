@@ -1,7 +1,7 @@
 // Bridges the sat::SolverObserver restart hook into the telemetry layer.
 //
 // One SolverTelemetryObserver is attached per solver per solve window (the
-// flow router, the incremental sweep, and each cube worker create their
+// flow router, the routing session, and each cube worker create their
 // own). On every restart sample it
 //   - lays the phase split out as three consecutive sub-spans (bcp /
 //     analyze / inprocess) on the observer's trace track, so Perfetto shows

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "encode/csp_to_cnf.h"
-#include "encode/cube.h"
 #include "encode/registry.h"
 #include "graph/coloring_bounds.h"
 #include "sat/solver.h"
@@ -97,57 +96,6 @@ TEST(CspToCnfTest, SymmetryClausesAreCounted) {
   // Vertex 1 (position 1) loses colors 1..3 -> 3 clauses; vertex 2
   // (position 2) loses colors 2..3 -> 2 clauses.
   EXPECT_EQ(enc.stats.symmetry_clauses, 5u);
-}
-
-TEST(CspToCnfTest, WidthLadderEmitsGuardedNegatedCubes) {
-  // Triangle plus a pendant vertex, K = 5, ladder from width 2.
-  graph::Graph g = Triangle();
-  g.AddVertex();
-  g.AddEdge(2, 3);
-  const int k = 5;
-  const int first = 2;
-  const std::size_t num_vertices = 4;
-  for (const char* name : {"muldirect", "log", "ITE-linear-2+muldirect"}) {
-    sat::Cnf cnf;
-    sat::CnfCollectorSink sink(cnf);
-    const ColoringLayout layout =
-        EncodeColoringToSink(g, k, GetEncoding(name), {}, sink);
-    const int next_var = sink.num_vars();
-    const std::size_t base = cnf.num_clauses();
-    const std::vector<sat::Var> guard = EmitWidthLadder(layout, first, sink);
-
-    ASSERT_EQ(guard.size(), static_cast<std::size_t>(k)) << name;
-    for (int w = 0; w < k; ++w) {
-      EXPECT_EQ(guard[static_cast<std::size_t>(w)],
-                w < first ? -1 : next_var + (w - first))
-          << name << " W=" << w;
-    }
-    EXPECT_EQ(sink.num_vars(), next_var + (k - first)) << name;
-    const std::size_t binaries = static_cast<std::size_t>(k - first - 1);
-    const std::size_t per_vertex =
-        static_cast<std::size_t>(k - first) * num_vertices;
-    ASSERT_EQ(cnf.num_clauses() - base, binaries + per_vertex) << name;
-
-    // Per width, in emission order: g_W -> g_{W+1}, then one
-    // ~cube_v(W) \/ ~g_W per vertex.
-    std::size_t i = base;
-    for (int w = first; w < k; ++w) {
-      const sat::Var gw = guard[static_cast<std::size_t>(w)];
-      if (w + 1 < k) {
-        EXPECT_EQ(cnf.clauses()[i++],
-                  (sat::Clause{sat::Lit::Neg(gw),
-                               sat::Lit::Pos(
-                                   guard[static_cast<std::size_t>(w + 1)])}))
-            << name << " W=" << w;
-      }
-      for (const int offset : layout.vertex_offset) {
-        sat::Clause expected = NegateCube(
-            layout.domain.value_cubes[static_cast<std::size_t>(w)], offset);
-        expected.push_back(sat::Lit::Neg(gw));
-        EXPECT_EQ(cnf.clauses()[i++], expected) << name << " W=" << w;
-      }
-    }
-  }
 }
 
 TEST(CspToCnfTest, DecodeReturnsMinusOneOnGarbageModel) {

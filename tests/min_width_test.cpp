@@ -42,6 +42,20 @@ TEST(MinWidthTest, StartsFromLowerBound) {
   EXPECT_EQ(result.unroutable.status, sat::SolveResult::kUnsat);
 }
 
+TEST(MinWidthTest, LowerBoundAboveMinimumIsAnError) {
+  // A triangle routes at 3; a lower bound of 5 is wrong. The search must
+  // not report 5 (or 4) as the minimum.
+  graph::Graph triangle(3);
+  triangle.AddEdge(0, 1);
+  triangle.AddEdge(1, 2);
+  triangle.AddEdge(0, 2);
+  const MinWidthResult result = FindMinimumWidthOnGraph(triangle, 5, {});
+  EXPECT_EQ(result.min_width, -1);
+  EXPECT_FALSE(result.proven_optimal);
+  EXPECT_NE(result.error.find("lower bound 5"), std::string::npos)
+      << result.error;
+}
+
 TEST(MinWidthTest, EndToEndOnBenchmark) {
   const netlist::McncBenchmark bench = netlist::GenerateMcncBenchmark("tiny");
   const Arch arch(bench.params.grid_size);

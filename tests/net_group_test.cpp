@@ -1,15 +1,17 @@
 // Tests for the net-grouped clause layer: the NetGroupedSink decorator, the
-// grouped encoder's clause-count and equisatisfiability contract, the
-// satlint net-group-hygiene pass (clean tables accepted, each crafted
-// defect caught — including the cross-guard allowance), and the
-// StreamingDimacsSink round trip of a grouped formula with its activation
-// toggles.
+// routing session's grouped stream (clause count and equisatisfiability
+// against the flat encoder), the satlint net-group-hygiene pass (clean
+// tables accepted, each crafted defect caught — including the cross-guard
+// allowance), and the StreamingDimacsSink round trip of a session's stream
+// with its activation toggles.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/runner.h"
@@ -17,6 +19,7 @@
 #include "encode/csp_to_cnf.h"
 #include "encode/net_group.h"
 #include "encode/registry.h"
+#include "flow/routing_session.h"
 #include "graph/graph.h"
 #include "sat/clause_sink.h"
 #include "sat/cnf.h"
@@ -112,57 +115,75 @@ TEST(NetGroupedSinkTest, FinishFailsWhileGroupOpen) {
 }
 
 // ---------------------------------------------------------------------------
-// Grouped encoder contract: same clause count as the flat encoder, and the
-// conjunction of all groups under assumed selectors is equisatisfiable.
+// The routing session's grouped stream. A session opened with audit = true
+// mirrors exactly what its resident solver receives: the width ladder, then
+// one guarded group per net. Its clause count is the flat encoder's plus
+// the ladder's, and the conjunction of all groups under assumed selectors
+// is equisatisfiable with the flat encode.
 // ---------------------------------------------------------------------------
 
-struct GroupedEncode {
-  Cnf cnf;
-  NetGroupTable table;
-  ColoringLayout layout;
-};
-
-GroupedEncode EncodeGrouped(const graph::Graph& g, int width,
-                            const EncodingSpec& spec,
-                            const std::vector<graph::VertexId>& sequence) {
-  GroupedEncode out;
-  CnfCollectorSink collector(out.cnf);
-  NetGroupedSink sink(collector);
-  out.layout = EncodeColoringGrouped(g, width, spec, sequence, sink);
-  EXPECT_TRUE(sink.Finish());
-  out.table = sink.table();
-  return out;
+flow::RoutingSessionOptions AuditOptions(const std::string& encoding,
+                                         symmetry::Heuristic heuristic) {
+  flow::RoutingSessionOptions options;
+  options.encoding = GetEncoding(encoding);
+  options.heuristic = heuristic;
+  options.audit = true;
+  return options;
 }
 
-SolveResult SolveGroupedActive(const GroupedEncode& grouped) {
+// Clauses of the session's width ladder over `num_vertices` nets at K
+// colors: K-2 guard implications plus one guarded negated cube per vertex
+// per width 1..K-1.
+std::uint64_t LadderClauses(std::uint64_t num_vertices, std::uint64_t k) {
+  return k < 2 ? 0 : (k - 2) + (k - 1) * num_vertices;
+}
+
+std::vector<Lit> AllSelectors(const NetGroupTable& table) {
+  std::vector<Lit> selectors;
+  for (const NetGroup& group : table.groups) {
+    selectors.push_back(Lit::Pos(group.activation));
+  }
+  return selectors;
+}
+
+// Loads `cnf` into `solver`; false if the load alone refutes it.
+bool LoadCnf(const Cnf& cnf, Solver& solver) {
+  solver.EnsureVars(cnf.num_vars());
+  bool consistent = true;
+  for (const Clause& clause : cnf.clauses()) {
+    if (!solver.AddClause(clause)) consistent = false;
+  }
+  return consistent;
+}
+
+SolveResult SolveFlat(const graph::Graph& g, int width,
+                      const EncodingSpec& spec,
+                      const std::vector<graph::VertexId>& sequence) {
   Solver solver;
-  solver.EnsureVars(grouped.cnf.num_vars());
-  for (const Clause& clause : grouped.cnf.clauses()) {
-    if (!solver.AddClause(clause)) return SolveResult::kUnsat;
+  if (!LoadCnf(EncodeColoring(g, width, spec, sequence).cnf, solver)) {
+    return SolveResult::kUnsat;
   }
-  std::vector<Lit> assumptions;
-  for (const NetGroup& group : grouped.table.groups) {
-    assumptions.push_back(Lit::Pos(group.activation));
-  }
-  return solver.SolveWithAssumptions(assumptions);
+  return solver.Solve();
 }
 
-TEST(GroupedEncodeTest, ClauseCountMatchesFlatEncoder) {
+TEST(GroupedStreamTest, ClauseCountIsFlatEncoderPlusLadder) {
   const graph::Graph g = Triangle();
   for (const std::string& name : EvaluatedEncodingNames()) {
-    const EncodingSpec& spec = GetEncoding(name);
+    const flow::RoutingSession session(
+        g, 3, AuditOptions(name, symmetry::Heuristic::kS1));
+    ASSERT_TRUE(session.ok()) << name << ": " << session.error();
     const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
         g, /*num_colors=*/3, symmetry::Heuristic::kS1);
-    const GroupedEncode grouped = EncodeGrouped(g, 3, spec, sequence);
-    EXPECT_EQ(grouped.cnf.num_clauses(),
-              ExpectedColoringClauses(g, grouped.layout.domain, 3,
-                                      sequence.size()))
+    EXPECT_EQ(session.audit_cnf()->num_clauses(),
+              ExpectedColoringClauses(g, session.layout().domain, 3,
+                                      sequence.size()) +
+                  LadderClauses(3, 3))
         << name;
-    EXPECT_EQ(grouped.table.groups.size(), 3u) << name;
+    EXPECT_EQ(session.group_table().groups.size(), 3u) << name;
   }
 }
 
-TEST(GroupedEncodeTest, EquisatisfiableWithFlatEncodeAcrossEncodings) {
+TEST(GroupedStreamTest, EquisatisfiableWithFlatEncodeAcrossEncodings) {
   Rng rng(20260808);
   const graph::Graph g = testutil::RandomGraph(rng, 8, 0.35);
   for (const std::string& name : EvaluatedEncodingNames()) {
@@ -171,49 +192,42 @@ TEST(GroupedEncodeTest, EquisatisfiableWithFlatEncodeAcrossEncodings) {
          {symmetry::Heuristic::kNone, symmetry::Heuristic::kB1,
           symmetry::Heuristic::kS1}) {
       for (const int width : {2, 4}) {
-        const std::vector<graph::VertexId> sequence =
-            symmetry::SymmetrySequence(g, width, heuristic);
-        const EncodedColoring flat =
-            EncodeColoring(g, width, spec, sequence);
-        Solver flat_solver;
-        flat_solver.EnsureVars(flat.cnf.num_vars());
-        bool flat_consistent = true;
-        for (const Clause& clause : flat.cnf.clauses()) {
-          if (!flat_solver.AddClause(clause)) flat_consistent = false;
-        }
         const SolveResult expected =
-            flat_consistent ? flat_solver.Solve() : SolveResult::kUnsat;
+            SolveFlat(g, width, spec,
+                      symmetry::SymmetrySequence(g, width, heuristic));
 
-        const GroupedEncode grouped = EncodeGrouped(g, width, spec, sequence);
-        EXPECT_EQ(SolveGroupedActive(grouped), expected)
-            << name << " width=" << width;
+        const flow::RoutingSession session(g, width,
+                                           AuditOptions(name, heuristic));
+        ASSERT_TRUE(session.ok()) << name << ": " << session.error();
+        Solver solver;
+        const SolveResult streamed =
+            LoadCnf(*session.audit_cnf(), solver)
+                ? solver.SolveWithAssumptions(
+                      AllSelectors(session.group_table()))
+                : SolveResult::kUnsat;
+        EXPECT_EQ(streamed, expected) << name << " width=" << width;
       }
     }
   }
 }
 
-TEST(GroupedEncodeTest, FalseSelectorVacatesItsGroup) {
+TEST(GroupedStreamTest, FalseSelectorVacatesItsGroup) {
   // Triangle at width 2 is uncolorable with every net active; retiring any
   // one net leaves a single edge, which is 2-colorable — the retired group
   // must contribute nothing under its false selector.
-  const graph::Graph g = Triangle();
-  const GroupedEncode grouped =
-      EncodeGrouped(g, 2, GetEncoding("muldirect"), {});
-  ASSERT_EQ(grouped.table.groups.size(), 3u);
+  const flow::RoutingSession session(
+      Triangle(), 2, AuditOptions("muldirect", symmetry::Heuristic::kNone));
+  ASSERT_TRUE(session.ok()) << session.error();
+  const NetGroupTable& table = session.group_table();
+  ASSERT_EQ(table.groups.size(), 3u);
 
   Solver solver;
-  solver.EnsureVars(grouped.cnf.num_vars());
-  for (const Clause& clause : grouped.cnf.clauses()) {
-    ASSERT_TRUE(solver.AddClause(clause));
-  }
-  std::vector<Lit> all;
-  for (const NetGroup& group : grouped.table.groups) {
-    all.push_back(Lit::Pos(group.activation));
-  }
+  ASSERT_TRUE(LoadCnf(*session.audit_cnf(), solver));
+  const std::vector<Lit> all = AllSelectors(table);
   EXPECT_EQ(solver.SolveWithAssumptions(all), SolveResult::kUnsat);
 
   std::vector<Lit> two(all.begin() + 1, all.end());
-  ASSERT_TRUE(solver.AddClause({Lit::Neg(grouped.table.groups[0].activation)}));
+  ASSERT_TRUE(solver.AddClause({Lit::Neg(table.groups[0].activation)}));
   EXPECT_EQ(solver.SolveWithAssumptions(two), SolveResult::kSat);
 }
 
@@ -245,13 +259,36 @@ NetGroup MakeGroup(graph::VertexId net, Var activation, std::uint64_t begin,
   return group;
 }
 
-TEST(NetGroupHygieneTest, CleanGroupedEncodePasses) {
-  const graph::Graph g = Triangle();
-  const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
-      g, 3, symmetry::Heuristic::kS1);
-  const GroupedEncode grouped =
-      EncodeGrouped(g, 3, GetEncoding("ITE-linear-2+muldirect"), sequence);
-  EXPECT_TRUE(HygieneFindings(grouped.cnf, grouped.table).empty());
+TEST(NetGroupHygieneTest, CleanSessionStreamPasses) {
+  // The isolated vertex 3 owns no edge and sits outside the symmetry
+  // sequence, so under the power-of-two log encodings (no structural
+  // clauses at K = 4) its group is empty.
+  graph::Graph g = Triangle();
+  g.AddVertex();
+  for (const std::string& name : EvaluatedEncodingNames()) {
+    const flow::RoutingSession session(
+        g, 4, AuditOptions(name, symmetry::Heuristic::kS1));
+    ASSERT_TRUE(session.ok()) << name << ": " << session.error();
+    EXPECT_TRUE(
+        HygieneFindings(*session.audit_cnf(), session.group_table()).empty())
+        << name;
+    const NetGroup& isolated = session.group_table().groups[3];
+    if (name == "log") EXPECT_EQ(isolated.clause_begin, isolated.clause_end);
+  }
+}
+
+TEST(NetGroupHygieneTest, EmptyGroupAtAnotherGroupsStartAccepted) {
+  // An empty range [1, 1) shares its begin with [1, 2) but holds no clause.
+  Cnf cnf(4);
+  cnf.AddClause({Lit::Neg(1), Lit::Pos(0)});
+  cnf.AddClause({Lit::Neg(3), Lit::Pos(0)});
+  NetGroupTable table;
+  table.first_activation_var = 1;
+  table.groups = {MakeGroup(0, 1, 0, 1), MakeGroup(1, 2, 1, 1),
+                  MakeGroup(2, 3, 1, 2)};
+  EXPECT_TRUE(HygieneFindings(cnf, table).empty());
+  std::swap(table.groups[1], table.groups[2]);
+  EXPECT_TRUE(HygieneFindings(cnf, table).empty());
 }
 
 TEST(NetGroupHygieneTest, CrossGuardOfKnownGroupAccepted) {
@@ -348,17 +385,19 @@ TEST(NetGroupHygieneTest, UngroupedActivationUnitsAllowed) {
 }
 
 // ---------------------------------------------------------------------------
-// StreamingDimacsSink round trip: a grouped encode plus its activation
-// toggles survives the DIMACS detour byte-exactly and lints clean.
+// StreamingDimacsSink round trip: a session's grouped stream plus its
+// activation toggles survives the DIMACS detour byte-exactly and lints
+// clean.
 // ---------------------------------------------------------------------------
 
-TEST(GroupedDimacsRoundTripTest, GroupedFormulaSurvivesDimacsAndLintsClean) {
+TEST(GroupedDimacsRoundTripTest, SessionStreamSurvivesDimacsAndLintsClean) {
   Rng rng(7);
   const graph::Graph g = testutil::RandomGraph(rng, 10, 0.3);
   const int width = 3;
   const EncodingSpec& spec = GetEncoding("ITE-linear-2+muldirect");
-  const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
-      g, width, symmetry::Heuristic::kS1);
+  const flow::RoutingSession session(
+      g, width, AuditOptions(spec.name, symmetry::Heuristic::kS1));
+  ASSERT_TRUE(session.ok()) << session.error();
 
   const std::string path =
       ::testing::TempDir() + "/net_group_roundtrip.cnf";
@@ -366,20 +405,23 @@ TEST(GroupedDimacsRoundTripTest, GroupedFormulaSurvivesDimacsAndLintsClean) {
   {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.is_open());
-    sat::StreamingDimacsSink dimacs(out, {"grouped encode round trip"});
+    sat::StreamingDimacsSink dimacs(out, {"session stream round trip"});
     sat::CnfCollectorSink collector(collected);
     sat::TeeSink tee(dimacs, collector);
-    NetGroupedSink sink(tee);
-    EncodeColoringGrouped(g, width, spec, sequence, sink);
-    // Activation toggles: every group switched on, as the routing session
-    // would assume them. Emitted outside any group (unit passthrough), so
-    // each activation variable also appears positively in the file.
-    for (const NetGroup& group : sink.table().groups) {
-      sink.EmitClause({Lit::Pos(group.activation)});
+    const Cnf& stream = *session.audit_cnf();
+    tee.EnsureVars(stream.num_vars());
+    for (const Clause& clause : stream.clauses()) tee.EmitClause(clause);
+    // Activation toggles: every group switched on, as Solve assumes them.
+    // As units, each activation variable also appears positively in the
+    // file.
+    for (const NetGroup& group : session.group_table().groups) {
+      tee.EmitUnit(Lit::Pos(group.activation));
     }
-    ASSERT_TRUE(sink.Finish());
+    ASSERT_TRUE(tee.Finish());
 
-    // The file's formula must lint clean as a plain DIMACS CNF.
+    // The file's formula must lint clean as a plain DIMACS CNF. The one
+    // finding is informational: the lowest width guard g_1 only ever
+    // appears negated (no rung implies it), so it is a pure variable.
     const auto parsed = sat::ParseDimacsFile(path);
     ASSERT_TRUE(parsed.has_value());
     ASSERT_EQ(parsed->num_vars(), collected.num_vars());
@@ -391,27 +433,22 @@ TEST(GroupedDimacsRoundTripTest, GroupedFormulaSurvivesDimacsAndLintsClean) {
     input.cnf = &*parsed;
     const analysis::AnalysisReport report =
         analysis::MakeDefaultRunner().Run(input);
-    EXPECT_TRUE(report.diagnostics.empty())
-        << analysis::FormatText(report);
+    ASSERT_EQ(report.diagnostics.size(), 1u) << analysis::FormatText(report);
+    EXPECT_EQ(report.diagnostics[0].pass, "cnf-pure-var");
+    EXPECT_EQ(report.diagnostics[0].severity, analysis::Severity::kInfo);
+    EXPECT_EQ(report.diagnostics[0].location,
+              "var x" + std::to_string(session.layout().num_vars));
 
     // And the round-tripped formula keeps the flat encoder's verdict: the
-    // toggles force every group active.
+    // toggles force every group active, and no width guard is forced.
     Solver parsed_solver;
-    parsed_solver.EnsureVars(parsed->num_vars());
-    bool consistent = true;
-    for (const Clause& clause : parsed->clauses()) {
-      if (!parsed_solver.AddClause(clause)) consistent = false;
-    }
     const SolveResult round_tripped =
-        consistent ? parsed_solver.Solve() : SolveResult::kUnsat;
-
-    const EncodedColoring flat = EncodeColoring(g, width, spec, sequence);
-    Solver flat_solver;
-    flat_solver.EnsureVars(flat.cnf.num_vars());
-    for (const Clause& clause : flat.cnf.clauses()) {
-      ASSERT_TRUE(flat_solver.AddClause(clause));
-    }
-    EXPECT_EQ(round_tripped, flat_solver.Solve());
+        LoadCnf(*parsed, parsed_solver) ? parsed_solver.Solve()
+                                        : SolveResult::kUnsat;
+    EXPECT_EQ(round_tripped,
+              SolveFlat(g, width, spec,
+                        symmetry::SymmetrySequence(
+                            g, width, symmetry::Heuristic::kS1)));
   }
   std::remove(path.c_str());
 }

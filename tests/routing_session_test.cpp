@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "analysis/runner.h"
 #include "common/rng.h"
+#include "encode/cube.h"
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
 #include "flow/detailed_router.h"
@@ -172,6 +174,97 @@ TEST(RoutingSessionTest, AuditStreamSatisfiesNetGroupHygiene) {
       analysis::MakeDefaultRunner().Run(input);
   for (const analysis::Diagnostic& d : report.diagnostics) {
     EXPECT_NE(d.pass, "net-group-hygiene") << analysis::FormatText(report);
+  }
+}
+
+/// FNV-1a over a session's audit stream: the clause count, every clause
+/// (length, then literal codes), and the group table.
+std::uint64_t AuditStreamDigest(const RoutingSession& session) {
+  std::uint64_t hash = 14695981039346656037ull;
+  const auto mix = [&hash](std::int64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= static_cast<std::uint64_t>(value >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  const sat::Cnf& cnf = *session.audit_cnf();
+  mix(static_cast<std::int64_t>(cnf.num_clauses()));
+  for (const sat::Clause& clause : cnf.clauses()) {
+    mix(static_cast<std::int64_t>(clause.size()));
+    for (const sat::Lit lit : clause) mix(lit.code());
+  }
+  const encode::NetGroupTable& table = session.group_table();
+  mix(table.first_activation_var);
+  for (const encode::NetGroup& group : table.groups) {
+    mix(group.net);
+    mix(group.epoch);
+    mix(group.activation);
+    mix(static_cast<std::int64_t>(group.clause_begin));
+    mix(static_cast<std::int64_t>(group.clause_end));
+  }
+  return hash;
+}
+
+// Pins the constructor's clause stream (ladder, groups, variable
+// numbering): it is every session's formula, so a change to it changes
+// what each solve searches and must be deliberate.
+TEST(RoutingSessionTest, AuditStreamMatchesRecordedDigest) {
+  RoutingSessionOptions options;
+  options.encoding = encode::GetEncoding("ITE-linear-2+muldirect");
+  options.heuristic = symmetry::Heuristic::kS1;
+  options.audit = true;
+  RoutingSession session(TinyConflictGraph(), /*max_width=*/6, options);
+  ASSERT_TRUE(session.ok()) << session.error();
+  EXPECT_EQ(session.audit_cnf()->num_clauses(), 187u);
+  EXPECT_EQ(AuditStreamDigest(session), 0xc4a1a60a9076a121ull)
+      << "0x" << std::hex << AuditStreamDigest(session);
+}
+
+TEST(RoutingSessionTest, WidthLadderEmitsGuardedNegatedCubes) {
+  // Triangle plus a pendant vertex, K = 5: the ladder sits right after the
+  // base layout, guards g_1..g_4 numbered consecutively, ahead of every
+  // net group.
+  graph::Graph g = Triangle();
+  g.AddVertex();
+  g.AddEdge(2, 3);
+  const int k = 5;
+  const std::size_t num_vertices = 4;
+  for (const char* name : {"muldirect", "log", "ITE-linear-2+muldirect"}) {
+    RoutingSessionOptions options;
+    options.encoding = encode::GetEncoding(name);
+    options.audit = true;
+    RoutingSession session(g, k, options);
+    ASSERT_TRUE(session.ok()) << session.error();
+    const encode::ColoringLayout& layout = session.layout();
+    const sat::Cnf& cnf = *session.audit_cnf();
+    const auto guard = [&layout](int w) {
+      return static_cast<sat::Var>(layout.num_vars + (w - 1));
+    };
+    EXPECT_EQ(session.group_table().first_activation_var, guard(k)) << name;
+    const std::size_t binaries = static_cast<std::size_t>(k - 2);
+    const std::size_t per_vertex =
+        static_cast<std::size_t>(k - 1) * num_vertices;
+    ASSERT_EQ(session.group_table().groups.front().clause_begin,
+              binaries + per_vertex)
+        << name;
+
+    // Per width, in emission order: g_W -> g_{W+1}, then one
+    // ~cube_v(W) \/ ~g_W per vertex.
+    std::size_t i = 0;
+    for (int w = 1; w < k; ++w) {
+      if (w + 1 < k) {
+        EXPECT_EQ(cnf.clauses()[i++],
+                  (sat::Clause{sat::Lit::Neg(guard(w)),
+                               sat::Lit::Pos(guard(w + 1))}))
+            << name << " W=" << w;
+      }
+      for (const int offset : layout.vertex_offset) {
+        sat::Clause expected = encode::NegateCube(
+            layout.domain.value_cubes[static_cast<std::size_t>(w)], offset);
+        expected.push_back(sat::Lit::Neg(guard(w)));
+        EXPECT_EQ(cnf.clauses()[i++], expected) << name << " W=" << w;
+      }
+    }
   }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <thread>
 
@@ -362,6 +363,80 @@ TEST(SolverInvariantsTest, DebugOptionChecksAtRestartBoundaries) {
   ASSERT_TRUE(solver.AddCnf(testutil::PigeonholeCnf(6)));
   EXPECT_EQ(solver.Solve(), SolveResult::kUnsat);
   EXPECT_GT(solver.stats().restarts, 1u);
+}
+
+TEST(SolverAssumptionsTest, BasicSatUnderAssumptions) {
+  sat::Solver solver;
+  const sat::Var a = solver.NewVar();
+  const sat::Var b = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({sat::Lit::Pos(a), sat::Lit::Pos(b)}));
+  EXPECT_EQ(solver.SolveWithAssumptions({sat::Lit::Neg(a)}),
+            sat::SolveResult::kSat);
+  EXPECT_TRUE(solver.ModelValue(sat::Lit::Pos(b)));
+}
+
+TEST(SolverAssumptionsTest, UnsatUnderAssumptionsIsRetractable) {
+  sat::Solver solver;
+  const sat::Var a = solver.NewVar();
+  const sat::Var b = solver.NewVar();
+  ASSERT_TRUE(solver.AddClause({sat::Lit::Pos(a), sat::Lit::Pos(b)}));
+  // Assuming both false contradicts the clause...
+  EXPECT_EQ(solver.SolveWithAssumptions(
+                {sat::Lit::Neg(a), sat::Lit::Neg(b)}),
+            sat::SolveResult::kUnsat);
+  // ...but the solver stays usable and the formula stays satisfiable.
+  EXPECT_TRUE(solver.okay());
+  EXPECT_EQ(solver.Solve(), sat::SolveResult::kSat);
+}
+
+TEST(SolverAssumptionsTest, ContradictoryAssumptionPair) {
+  sat::Solver solver;
+  const sat::Var a = solver.NewVar();
+  solver.NewVar();
+  EXPECT_EQ(solver.SolveWithAssumptions(
+                {sat::Lit::Pos(a), sat::Lit::Neg(a)}),
+            sat::SolveResult::kUnsat);
+  EXPECT_TRUE(solver.okay());
+}
+
+TEST(SolverAssumptionsTest, LearnsAcrossQueries) {
+  // Pigeonhole with a relaxation variable r: UNSAT under r, SAT under ~r.
+  const sat::Cnf php = testutil::PigeonholeCnf(5);
+  sat::Solver solver;
+  ASSERT_TRUE(solver.AddCnf(php));
+  const sat::Var r = solver.NewVar();
+  // r forces pigeon 0 out of every hole (strengthens PHP; still UNSAT).
+  for (int h = 0; h < 5; ++h) {
+    ASSERT_TRUE(solver.AddClause({sat::Lit::Neg(r), sat::Lit::Neg(h)}));
+  }
+  EXPECT_EQ(solver.SolveWithAssumptions({sat::Lit::Pos(r)}),
+            sat::SolveResult::kUnsat);
+  EXPECT_TRUE(solver.okay());
+  // PHP itself is UNSAT regardless of r.
+  EXPECT_EQ(solver.Solve(), sat::SolveResult::kUnsat);
+}
+
+TEST(SolverAssumptionsTest, ManySequentialQueries) {
+  // Draw instances until one survives top-level propagation.
+  Rng rng(2718);
+  sat::Cnf cnf;
+  auto solver = std::make_unique<sat::Solver>();
+  do {
+    cnf = testutil::RandomCnf(rng, 20, 60, 4);
+    solver = std::make_unique<sat::Solver>();
+  } while (!solver->AddCnf(cnf));
+  for (int i = 0; i < 20; ++i) {
+    const sat::Var v =
+        static_cast<sat::Var>(rng.NextBelow(20));
+    const sat::Lit assumption = sat::Lit::Make(v, rng.NextBool(0.5));
+    const sat::SolveResult result =
+        solver->SolveWithAssumptions({assumption});
+    if (!solver->okay()) break;  // formula itself refuted; nothing to check
+    if (result == sat::SolveResult::kSat) {
+      EXPECT_TRUE(cnf.IsSatisfiedBy(solver->model()));
+      EXPECT_TRUE(solver->ModelValue(assumption));
+    }
+  }
 }
 
 }  // namespace

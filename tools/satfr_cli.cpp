@@ -64,7 +64,9 @@
 //                       --encoding/--sym/--solver for this route
 //   session <client> <benchmark> [maxwidth]  open an incremental session
 //                       for <client> under --encoding/--sym (encoded once;
-//                       its ops run in order)
+//                       its ops run in order); maxwidth defaults to the
+//                       larger of the DSATUR width and the peak congestion,
+//                       as in `replay`
 //   ripup <client> <net>                rip up net in the client's session
 //   reroute <client> <net> [p1 p2...]   re-route net against partners
 //   solve <client> [width]              solve the client's session state
@@ -370,6 +372,16 @@ LoadedBenchmark LoadBenchmark(const std::string& name) {
   loaded.conflict = flow::BuildConflictGraph(loaded.arch, loaded.routing);
   loaded.peak = route::PeakCongestion(loaded.arch, loaded.routing);
   return loaded;
+}
+
+// The max width of a session opened without an explicit one (`replay`,
+// and `serve`'s `session` op): the DSATUR width, which certifies that a
+// routing exists, and never below `floor` (the requested width, else the
+// peak congestion). A solve at the session's max width therefore answers
+// SAT and decodes a model.
+int SessionMaxWidth(const graph::Graph& conflict, int floor) {
+  return std::max(
+      {1, floor, graph::NumColorsUsed(graph::DsaturColoring(conflict))});
 }
 
 int CmdBenchmarks() {
@@ -691,12 +703,8 @@ int CmdReplay(const CliOptions& opts) {
     return 2;
   }
   const LoadedBenchmark loaded = LoadBenchmark(name);
-  const std::vector<int> dsatur = graph::DsaturColoring(loaded.conflict);
-  const int dsatur_width =
-      dsatur.empty() ? 1
-                     : *std::max_element(dsatur.begin(), dsatur.end()) + 1;
   const int default_width = opts.width > 0 ? opts.width : loaded.peak;
-  const int max_width = std::max(dsatur_width, default_width);
+  const int max_width = SessionMaxWidth(loaded.conflict, default_width);
 
   flow::RoutingSessionOptions session_options;
   session_options.encoding = opts.encoding_spec;
@@ -804,7 +812,7 @@ int CmdServe(const CliOptions& opts) {
   // service keys its caches on the graph itself, so a shared pointer makes
   // every repeat's key compare a pointer instead of two edge lists.
   std::unordered_map<std::string, std::shared_ptr<const graph::Graph>> graphs;
-  std::unordered_map<std::string, int> peaks;
+  std::unordered_map<std::string, int> session_widths;
   auto graph_for = [&](const std::string& name)
       -> std::shared_ptr<const graph::Graph> {
     const auto it = graphs.find(name);
@@ -812,7 +820,8 @@ int CmdServe(const CliOptions& opts) {
     const LoadedBenchmark loaded = LoadBenchmark(name);
     auto shared = std::make_shared<graph::Graph>(loaded.conflict);
     graphs.emplace(name, shared);
-    peaks.emplace(name, loaded.peak);
+    session_widths.emplace(name,
+                           SessionMaxWidth(loaded.conflict, loaded.peak));
     return shared;
   };
 
@@ -913,7 +922,7 @@ int CmdServe(const CliOptions& opts) {
       }
       const std::shared_ptr<const graph::Graph> g = graph_for(bench);
       int max_width = 0;
-      if (!(in >> max_width)) max_width = peaks[bench] + 1;
+      if (!(in >> max_width)) max_width = session_widths[bench];
       std::string error;
       if (!svc.OpenSession(client, g, max_width, opts.encoding, opts.sym,
                            &error)) {

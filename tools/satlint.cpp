@@ -21,11 +21,12 @@
 //                         paper's 14; default ITE-linear-2+muldirect)
 //   --sym b1|s1|none      symmetry-breaking heuristic (default s1)
 //   --width K             colors / tracks (default: peak congestion)
-//   --grouped             (col/encode) encode through the net-grouped
-//                         streaming path (encode::EncodeColoringGrouped)
-//                         instead of the flat one, and run the
-//                         net-group-hygiene pass over the activation-
-//                         literal structure
+//   --grouped             (col/encode) lint the clause stream of a
+//                         flow::RoutingSession opened at width K instead of
+//                         the flat encode: its width ladder plus one
+//                         activation-guarded group per net, exactly as the
+//                         session's solver receives it; runs the
+//                         net-group-hygiene pass over that structure
 //   --json                machine-readable report
 //   --disable PASS        disable a pass by name (repeatable)
 //   --severity PASS=LVL   force a pass to info|warning|error (repeatable)
@@ -44,10 +45,10 @@
 #include "analysis/runner.h"
 #include "common/strings.h"
 #include "encode/csp_to_cnf.h"
-#include "encode/net_group.h"
 #include "obs/run_report.h"
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
+#include "flow/routing_session.h"
 #include "fpga/device_graph.h"
 #include "graph/dimacs_col.h"
 #include "netlist/mcnc_suite.h"
@@ -217,19 +218,22 @@ int LintEncodings(const graph::Graph& g, int width, const LintOptions& opts,
     input.routing = routing;
     std::string banner =
         name + " K=" + std::to_string(width) + " sym=" + opts.sym;
-    // Both arms materialize into `cnf`/`encoded` declared out here so the
-    // pointers stay valid through RunAndReport.
-    sat::Cnf grouped_cnf;
+    // Both arms materialize into `session`/`encoded` declared out here so
+    // the pointers stay valid through RunAndReport.
+    std::optional<flow::RoutingSession> session;
     std::optional<encode::EncodedColoring> encoded;
-    encode::NetGroupTable group_table;
     if (opts.grouped) {
-      sat::CnfCollectorSink collector(grouped_cnf);
-      encode::NetGroupedSink grouped(collector);
-      encode::EncodeColoringGrouped(g, width, *spec, sequence, grouped);
-      grouped.Finish();
-      group_table = grouped.table();
-      input.cnf = &grouped_cnf;
-      input.net_groups = &group_table;
+      flow::RoutingSessionOptions session_options;
+      session_options.encoding = *spec;
+      session_options.heuristic = opts.heuristic;
+      session_options.audit = true;
+      session.emplace(g, width, session_options);
+      if (!session->ok()) {
+        std::fprintf(stderr, "session: %s\n", session->error().c_str());
+        return 2;
+      }
+      input.cnf = session->audit_cnf();
+      input.net_groups = &session->group_table();
       banner += " grouped";
     } else {
       encoded.emplace(encode::EncodeColoring(g, width, *spec, sequence));
