@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "encode/net_group.h"
 
 namespace satfr::analysis {
 namespace {
@@ -242,7 +243,16 @@ class PureVarPass final : public AnalysisPass {
   }
   void Run(const AnalysisInput& input, DiagnosticSink& sink) const override {
     const PolarityCensus census(*input.cnf);
-    for (int v = 0; v < input.cnf->num_vars(); ++v) {
+    // A grouped stream's selectors appear only negated until an assumption
+    // or toggle sets them; they are not findings.
+    sat::Var selectors = input.cnf->num_vars();
+    if (input.net_groups != nullptr) {
+      for (const sat::Var first : {input.first_selector_var,
+                              input.net_groups->first_activation_var}) {
+        if (first >= 0) selectors = std::min(selectors, first);
+      }
+    }
+    for (int v = 0; v < selectors; ++v) {
       const auto idx = static_cast<std::size_t>(v);
       const std::size_t pos = census.positive[idx];
       const std::size_t neg = census.negative[idx];

@@ -18,6 +18,7 @@ namespace satfr::analysis {
 ///   cnf-unused-var       (warning) allocated variable in no clause
 ///   cnf-subsumed-binary  (info)    clause subsumed by a unit/binary clause
 ///   cnf-pure-var         (info)    variable appears with one polarity only
+///                                  (a grouped stream's selectors excepted)
 void AddCnfPasses(AnalysisRunner& runner);
 
 }  // namespace satfr::analysis

@@ -78,6 +78,12 @@ struct AnalysisInput {
   // have been collected through the same NetGroupedSink chain (starting
   // empty) so clause index i is group ordinal i.
   const encode::NetGroupTable* net_groups = nullptr;
+  // With `net_groups`: the first assumption selector of a RoutingSession
+  // stream (its base layout's num_vars; the width-ladder guards and then
+  // the activation variables follow). Selectors occur with one polarity by
+  // construction, so the pure-variable pass skips every variable from here
+  // on, and from net_groups->first_activation_var on when this is -1.
+  sat::Var first_selector_var = -1;
   // Run-report records (`satlint report <file.jsonl>`), checked by the
   // telemetry layer's consistency passes.
   const std::vector<obs::RunRecord>* run_records = nullptr;

@@ -54,6 +54,12 @@ MinWidthResult FindMinimumWidthOnGraph(const graph::Graph& conflict_graph,
     previous = std::move(attempt);  // UNSAT at this width
     have_previous = true;
   }
+  const std::string max_width = std::to_string(options.max_width);
+  result.error =
+      result.lower_bound > options.max_width
+          ? "lower bound " + std::to_string(result.lower_bound) +
+                " is above max_width " + max_width
+          : "every width up to max_width " + max_width + " is unroutable";
   return result;
 }
 

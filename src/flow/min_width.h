@@ -25,8 +25,8 @@ struct MinWidthResult {
   /// max_width exceeded, a model that failed the model check, or a
   /// `congestion_lower_bound` with a routing one width below it).
   int min_width = -1;
-  /// The failing width's DetailedRouteResult::error, or the bad lower
-  /// bound, if any.
+  /// The failing width's DetailedRouteResult::error, the bad lower bound,
+  /// or the exhausted max_width, if any (empty on a timeout).
   std::string error;
   /// Congestion lower bound the search started from.
   int lower_bound = 1;

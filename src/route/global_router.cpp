@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "route/maze_router.h"
 
@@ -10,85 +11,6 @@ namespace {
 
 using fpga::NodeId;
 using fpga::SegmentIndex;
-using netlist::NetId;
-
-struct ParentCount {
-  NetId parent;
-  int count;
-};
-
-template <typename Counts>  // (const) std::vector<ParentCount>
-auto FindParent(Counts& counts, NetId parent) {
-  return std::find_if(counts.begin(), counts.end(),
-                      [parent](const ParentCount& c) {
-                        return c.parent == parent;
-                      });
-}
-
-// Tracks, per segment, how many routes of each parent net cross it, so that
-// distinct-parent usage is maintainable under rip-up. A segment carries a
-// handful of parents, so a short unordered list beats a hash map.
-class UsageTracker {
- public:
-  explicit UsageTracker(int num_segments)
-      : per_segment_(static_cast<std::size_t>(num_segments)) {}
-
-  void Add(const std::vector<SegmentIndex>& route, NetId parent) {
-    for (const SegmentIndex seg : route) {
-      auto& counts = per_segment_[static_cast<std::size_t>(seg)];
-      const auto it = FindParent(counts, parent);
-      if (it == counts.end()) {
-        counts.push_back({parent, 1});
-      } else {
-        ++it->count;
-      }
-    }
-  }
-
-  void Remove(const std::vector<SegmentIndex>& route, NetId parent) {
-    for (const SegmentIndex seg : route) {
-      auto& counts = per_segment_[static_cast<std::size_t>(seg)];
-      const auto it = FindParent(counts, parent);
-      assert(it != counts.end());
-      if (--it->count == 0) {
-        *it = counts.back();
-        counts.pop_back();
-      }
-    }
-  }
-
-  /// Distinct parents using `seg`.
-  int Usage(SegmentIndex seg) const {
-    return static_cast<int>(per_segment_[static_cast<std::size_t>(seg)].size());
-  }
-
-  /// Distinct parents other than `parent` using `seg`.
-  int UsageExcluding(SegmentIndex seg, NetId parent) const {
-    const auto& counts = per_segment_[static_cast<std::size_t>(seg)];
-    return static_cast<int>(counts.size()) -
-           (FindParent(counts, parent) != counts.end() ? 1 : 0);
-  }
-
-  int Peak() const {
-    int peak = 0;
-    for (const auto& counts : per_segment_) {
-      peak = std::max(peak, static_cast<int>(counts.size()));
-    }
-    return peak;
-  }
-
-  /// Total overuse above `capacity` across all segments.
-  int TotalOveruse(int capacity) const {
-    int total = 0;
-    for (const auto& counts : per_segment_) {
-      total += std::max(0, static_cast<int>(counts.size()) - capacity);
-    }
-    return total;
-  }
-
- private:
-  std::vector<std::vector<ParentCount>> per_segment_;
-};
 
 }  // namespace
 
@@ -195,19 +117,55 @@ GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
     return a < b;
   });
 
+  // 2-pin nets of parent p are [first[p], first[p + 1]): both
+  // decompositions emit them contiguously, in parent order.
+  std::vector<std::size_t> first(static_cast<std::size_t>(nets.num_nets()) + 1,
+                                 0);
+  for (const TwoPinNet& net : routing.two_pin_nets) {
+    ++first[static_cast<std::size_t>(net.parent) + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+
+  // distinct[seg] = parents with a route across seg. Adding or ripping up
+  // net i changes it only where none of i's siblings crosses seg: before
+  // touching net i, its siblings' segments are stamped with a fresh
+  // generation, and stamped segments keep counting i's parent.
+  const int num_segments = arch.num_segments();
+  std::vector<int> distinct(static_cast<std::size_t>(num_segments), 0);
+  std::vector<unsigned> stamp(static_cast<std::size_t>(num_segments), 0);
+  unsigned generation = 0;
+  const auto stamp_siblings = [&](std::size_t i) {
+    ++generation;
+    const auto parent =
+        static_cast<std::size_t>(routing.two_pin_nets[i].parent);
+    for (std::size_t sib = first[parent]; sib < first[parent + 1]; ++sib) {
+      if (sib == i) continue;
+      for (const SegmentIndex seg : routing.routes[sib]) {
+        stamp[static_cast<std::size_t>(seg)] = generation;
+      }
+    }
+  };
+  const auto stamped = [&](SegmentIndex seg) {
+    return stamp[static_cast<std::size_t>(seg)] == generation ? 1 : 0;
+  };
+  const auto add_route = [&](std::size_t i, std::vector<SegmentIndex> route) {
+    routing.routes[i] = std::move(route);
+    for (const SegmentIndex seg : routing.routes[i]) {
+      if (!stamped(seg)) ++distinct[static_cast<std::size_t>(seg)];
+    }
+  };
+
   // Initial shortest-path routing.
   MazeSearch search(device);
-  UsageTracker usage(arch.num_segments());
   for (const std::size_t i : order) {
     auto path =
         search.FindPath(from[i], to[i], [](SegmentIndex) { return 1.0; });
     assert(path.has_value() && "grid is connected");
-    routing.routes[i] = std::move(*path);
-    usage.Add(routing.routes[i], routing.two_pin_nets[i].parent);
+    stamp_siblings(i);
+    add_route(i, std::move(*path));
   }
 
-  std::vector<double> history(static_cast<std::size_t>(arch.num_segments()),
-                              0.0);
+  std::vector<double> history(static_cast<std::size_t>(num_segments), 0.0);
   GlobalRouting best = routing;
 
   // Tighten the capacity target until negotiation fails. No routing meets a
@@ -215,17 +173,22 @@ GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
   // spending every negotiation round on a target that must fail.
   const int capacity_floor =
       std::max(1, CapacityLowerBound(arch, nets, placement));
-  for (int capacity = usage.Peak() - 1; capacity >= capacity_floor;
-       --capacity) {
+  const int peak = distinct.empty() ? 0
+                                    : *std::max_element(distinct.begin(),
+                                                        distinct.end());
+  for (int capacity = peak - 1; capacity >= capacity_floor; --capacity) {
     double present_factor = options.present_factor_initial;
     bool feasible = false;
     for (int round = 0; round < options.negotiation_rounds && !feasible;
          ++round) {
       for (const std::size_t i : order) {
-        const NetId parent = routing.two_pin_nets[i].parent;
-        usage.Remove(routing.routes[i], parent);
+        stamp_siblings(i);
+        for (const SegmentIndex seg : routing.routes[i]) {
+          if (!stamped(seg)) --distinct[static_cast<std::size_t>(seg)];
+        }
         const auto cost = [&](SegmentIndex seg) {
-          const int others = usage.UsageExcluding(seg, parent);
+          const int others =
+              distinct[static_cast<std::size_t>(seg)] - stamped(seg);
           const int overuse = std::max(0, others + 1 - capacity);
           return 1.0 + present_factor * overuse +
                  options.history_factor *
@@ -233,16 +196,18 @@ GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
         };
         auto path = search.FindPath(from[i], to[i], cost);
         assert(path.has_value());
-        routing.routes[i] = std::move(*path);
-        usage.Add(routing.routes[i], parent);
+        add_route(i, std::move(*path));
       }
+      assert(distinct == SegmentParentUsage(arch, routing));
       // Accumulate history on overused segments; raise the pressure.
-      for (SegmentIndex seg = 0; seg < arch.num_segments(); ++seg) {
-        const int overuse = std::max(0, usage.Usage(seg) - capacity);
-        history[static_cast<std::size_t>(seg)] += overuse;
+      int total_overuse = 0;
+      for (std::size_t seg = 0; seg < distinct.size(); ++seg) {
+        const int overuse = std::max(0, distinct[seg] - capacity);
+        history[seg] += overuse;
+        total_overuse += overuse;
       }
       present_factor *= options.present_factor_growth;
-      feasible = (usage.TotalOveruse(capacity) == 0);
+      feasible = (total_overuse == 0);
     }
     if (feasible) {
       best = routing;

@@ -8,6 +8,14 @@
 // accumulated history costs) until the target becomes infeasible or reaches
 // CapacityLowerBound; the best feasible routing is returned. Fully
 // deterministic.
+//
+// Capacity counts distinct parent nets per segment, kept in one flat array
+// of counts. 2-pin nets of one parent may share segments, so before a net
+// is ripped up (or first added) the segments of its siblings — the other
+// 2-pin nets of the same parent — are stamped with a fresh generation; the
+// net's route changes a segment's count only where no stamp is, and the
+// cost of a segment to that net is its count minus its stamp. Every count
+// lookup is one array read.
 #pragma once
 
 #include "fpga/device_graph.h"

@@ -16,6 +16,7 @@
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
 #include "flow/detailed_router.h"
+#include "flow/routing_session.h"
 #include "fpga/device_graph.h"
 #include "netlist/mcnc_suite.h"
 #include "route/global_router.h"
@@ -488,6 +489,44 @@ TEST(GraphPassesTest, VertexCountMismatchDetected) {
   const AnalysisReport report = Lint(input);
   EXPECT_FALSE(FindingsOf(report, "flow-two-pin").empty())
       << FormatText(report);
+}
+
+TEST(CnfPassesTest, GroupedStreamReportsNoSelectorButPlantedBaseVar) {
+  const netlist::McncBenchmark bench =
+      netlist::GenerateMcncBenchmark("alu2");
+  const fpga::Arch arch(bench.params.grid_size);
+  const fpga::DeviceGraph device(arch);
+  const route::GlobalRouting routing =
+      route::RouteGlobally(device, bench.netlist, bench.placement);
+  const graph::Graph conflict = flow::BuildConflictGraph(arch, routing);
+  flow::RoutingSessionOptions options;
+  options.audit = true;
+  const flow::RoutingSession session(
+      conflict, route::PeakCongestion(arch, routing), options);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const int base_vars = session.layout().num_vars;
+  ASSERT_GT(session.group_table().first_activation_var, base_vars);
+
+  AnalysisInput input;
+  input.cnf = session.audit_cnf();
+  input.net_groups = &session.group_table();
+  input.first_selector_var = base_vars;
+  EXPECT_TRUE(FindingsOf(Lint(input), "cnf-pure-var").empty());
+
+  // Plant a pure base variable: every negative occurrence of x0 flips
+  // positive. Clause indices (and so the groups) stay as they were.
+  Cnf planted(input.cnf->num_vars());
+  for (sat::Clause clause : input.cnf->clauses()) {
+    for (Lit& l : clause) {
+      if (l.var() == 0) l = Lit::Pos(0);
+    }
+    planted.AddClause(std::move(clause));
+  }
+  input.cnf = &planted;
+  const std::vector<Diagnostic> pure =
+      FindingsOf(Lint(input), "cnf-pure-var");
+  ASSERT_EQ(pure.size(), 1u);
+  EXPECT_EQ(pure[0].location, "var x0");
 }
 
 // ---------------------------------------------------------------------------

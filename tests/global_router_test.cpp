@@ -138,7 +138,11 @@ std::uint64_t RouteDigest(const GlobalRouting& routing) {
 
 // Digests recorded from the router before the maze-search and cut-bound
 // speed-ups: any change to the routes (and hence to the conflict graphs and
-// W*) shows up here.
+// W*) shows up here. The chain cases after alu2's were recorded from the
+// router that still kept a per-segment list of parent counts, before the
+// flat distinct-parent array replaced it; chains put 2-pin nets of one
+// parent on the same segments, which is what the array's sibling marks must
+// count once.
 TEST(GlobalRouterTest, RoutesMatchRecordedDigest) {
   struct Case {
     const char* name;
@@ -159,6 +163,13 @@ TEST(GlobalRouterTest, RoutesMatchRecordedDigest) {
       {"term1", Decomposition::kStar, 0x711f9d4bbb0c51aaull},
       {"example2", Decomposition::kStar, 0x3d1caa77e4ca1e25ull},
       {"alu2", Decomposition::kChain, 0x0470bc82a9abeee3ull},
+      {"too_large", Decomposition::kChain, 0x85206c6d39b2ce45ull},
+      {"alu4", Decomposition::kChain, 0xf0d0662b19157ba2ull},
+      {"C880", Decomposition::kChain, 0x230fd55a4d6feadeull},
+      {"apex7", Decomposition::kChain, 0x87b6824d10b26f48ull},
+      {"C1355", Decomposition::kChain, 0x08b53275702542b2ull},
+      {"vda", Decomposition::kChain, 0xe0078d58185cdef3ull},
+      {"k2", Decomposition::kChain, 0x8d4c51471aae879dull},
   };
   for (const Case& c : cases) {
     const netlist::McncBenchmark bench =

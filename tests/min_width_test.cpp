@@ -56,6 +56,33 @@ TEST(MinWidthTest, LowerBoundAboveMinimumIsAnError) {
       << result.error;
 }
 
+TEST(MinWidthTest, LowerBoundAboveMaxWidthIsAnError) {
+  graph::Graph triangle(3);
+  triangle.AddEdge(0, 1);
+  triangle.AddEdge(1, 2);
+  triangle.AddEdge(0, 2);
+  MinWidthOptions options;
+  options.max_width = 4;
+  const MinWidthResult result = FindMinimumWidthOnGraph(triangle, 6, options);
+  EXPECT_EQ(result.min_width, -1);
+  EXPECT_FALSE(result.proven_optimal);
+  EXPECT_EQ(result.error, "lower bound 6 is above max_width 4");
+}
+
+TEST(MinWidthTest, UnroutableUpToMaxWidthIsAnError) {
+  // A triangle needs 3 tracks; with max_width 2 every probed width is UNSAT.
+  graph::Graph triangle(3);
+  triangle.AddEdge(0, 1);
+  triangle.AddEdge(1, 2);
+  triangle.AddEdge(0, 2);
+  MinWidthOptions options;
+  options.max_width = 2;
+  const MinWidthResult result = FindMinimumWidthOnGraph(triangle, 1, options);
+  EXPECT_EQ(result.min_width, -1);
+  EXPECT_FALSE(result.proven_optimal);
+  EXPECT_EQ(result.error, "every width up to max_width 2 is unroutable");
+}
+
 TEST(MinWidthTest, EndToEndOnBenchmark) {
   const netlist::McncBenchmark bench = netlist::GenerateMcncBenchmark("tiny");
   const Arch arch(bench.params.grid_size);

@@ -234,6 +234,7 @@ int LintEncodings(const graph::Graph& g, int width, const LintOptions& opts,
       }
       input.cnf = session->audit_cnf();
       input.net_groups = &session->group_table();
+      input.first_selector_var = session->layout().num_vars;
       banner += " grouped";
     } else {
       encoded.emplace(encode::EncodeColoring(g, width, *spec, sequence));
