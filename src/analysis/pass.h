@@ -41,13 +41,6 @@ inline bool ClauseInRange(const sat::Clause& clause, int num_vars) {
   });
 }
 
-/// One source file handed to the source-scan layer (`satlint sources`):
-/// the path is used for diagnostics, the content is scanned verbatim.
-struct SourceFile {
-  std::string path;
-  std::string content;
-};
-
 /// One sampled verdict-cache audit: the routing service re-solved a cached
 /// entry's instance fresh and recorded both answers (plus a track-validity
 /// re-check for SAT verdicts). Pure data — produced by src/service/, judged
@@ -87,9 +80,6 @@ struct AnalysisInput {
   // Run-report records (`satlint report <file.jsonl>`), checked by the
   // telemetry layer's consistency passes.
   const std::vector<obs::RunRecord>* run_records = nullptr;
-  // Repository source files (`satlint sources <file...>`), scanned by the
-  // source layer (mc-coverage).
-  const std::vector<SourceFile>* sources = nullptr;
   // Verdict-cache audit samples (`satfr serve --selfcheck`), judged by the
   // service-cache-coherence pass.
   const std::vector<CoherenceSample>* coherence_samples = nullptr;

@@ -9,7 +9,6 @@
 #include "analysis/netgroup_passes.h"
 #include "analysis/service_passes.h"
 #include "analysis/solver_passes.h"
-#include "analysis/source_passes.h"
 #include "analysis/telemetry_passes.h"
 
 namespace satfr::analysis {
@@ -103,7 +102,6 @@ AnalysisRunner MakeDefaultRunner() {
   AddCubePasses(runner);
   AddTelemetryPasses(runner);
   AddServicePasses(runner);
-  AddSourcePasses(runner);
   return runner;
 }
 

@@ -9,7 +9,7 @@
 namespace satfr {
 namespace {
 
-mc::Atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
+std::atomic<int> g_level{static_cast<int>(LogLevel::kWarning)};
 mc::Mutex g_write_mutex;
 
 const char* LevelName(LogLevel level) {

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 
-#include "cube/work_queue.h"
 #include "encode/csp_to_cnf.h"
+#include "mc/annotations.h"
+#include "mc/shim.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
 #include "obs/solver_trace.h"
@@ -16,6 +16,71 @@
 #include "sat/clause_sink.h"
 
 namespace satfr::cube {
+
+namespace {
+
+// One batch's cube supply, split into one share per worker under a single
+// mutex. Worker w's share is the cubes i ≡ w (mod n) in ascending order.
+// The owner takes from the front, so it walks its share in generator order
+// (the deterministic-mode guarantee); a thief takes from the back of a
+// victim's share, the cube that victim would have reached last. A batch
+// holds at most a few hundred cubes, each a millisecond-scale solve, so
+// one lock taken once per cube costs nothing measurable, and under it
+// "every share is empty" is exact: the supply never refills.
+class CubeShares {
+ public:
+  struct Taken {
+    std::size_t cube = 0;
+    int from = 0;  // the share it came from; != the taker for a steal
+  };
+
+  CubeShares(std::size_t num_cubes, int num_workers)
+      : stride_(static_cast<std::size_t>(num_workers)) {
+    shares_.reserve(stride_);
+    for (std::size_t w = 0; w < stride_; ++w) {
+      const std::size_t count =
+          w < num_cubes ? (num_cubes - w + stride_ - 1) / stride_ : 0;
+      shares_.push_back({w, w + count * stride_});
+    }
+  }
+
+  /// The front of worker w's share or, when that is empty and `may_steal`,
+  /// the back of the first non-empty share after w (w+1, w+2, ... mod n).
+  /// nullopt when no share the caller may take from holds a cube.
+  std::optional<Taken> Take(int w, bool may_steal) SATFR_EXCLUDES(mutex_) {
+    mc::MutexLock lock(mutex_);
+    Share& own = shares_[static_cast<std::size_t>(w)];
+    if (own.front < own.back) {
+      const std::size_t cube = own.front;
+      own.front += stride_;
+      return Taken{cube, w};
+    }
+    if (!may_steal) return std::nullopt;
+    const int n = static_cast<int>(stride_);
+    for (int k = 1; k < n; ++k) {
+      const int victim = (w + k) % n;
+      Share& share = shares_[static_cast<std::size_t>(victim)];
+      if (share.front < share.back) {
+        share.back -= stride_;
+        return Taken{share.back, victim};
+      }
+    }
+    return std::nullopt;
+  }
+
+ private:
+  // The cubes front, front + n, front + 2n, ... below back.
+  struct Share {
+    std::size_t front;
+    std::size_t back;
+  };
+
+  const std::size_t stride_;
+  mc::Mutex mutex_;
+  std::vector<Share> shares_ SATFR_GUARDED_BY(mutex_);
+};
+
+}  // namespace
 
 CubeWorkerPool::CubeWorkerPool(
     const sat::SolverOptions& solver_options, const CubePoolOptions& options,
@@ -40,7 +105,7 @@ CubeWorkerPool::~CubeWorkerPool() = default;
 CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
     const std::vector<std::vector<sat::Lit>>& cubes,
     const std::vector<sat::Lit>& base_assumptions, Deadline deadline,
-    const mc::Atomic<bool>* external_stop) {
+    const std::atomic<bool>* external_stop) {
   BatchResult out;
   if (!ok_) {
     out.status = sat::SolveResult::kUnsat;
@@ -55,31 +120,12 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
   }
 
   const int n = num_workers();
-  const std::size_t per_worker =
-      (cubes.size() + static_cast<std::size_t>(n) - 1) /
-      static_cast<std::size_t>(n);
+  CubeShares shares(cubes.size(), n);
 
-  // Round-robin seeding: cube i goes to deque i % n, pushed largest-index
-  // first so the owner's LIFO pops walk its share in ascending generator
-  // order (the deterministic-mode order guarantee).
-  std::vector<std::unique_ptr<WorkStealingDeque>> deques;
-  deques.reserve(static_cast<std::size_t>(n));
-  for (int w = 0; w < n; ++w) {
-    deques.push_back(
-        std::make_unique<WorkStealingDeque>(std::max<std::size_t>(
-            per_worker, 1)));
-  }
-  for (std::int64_t i = static_cast<std::int64_t>(cubes.size()) - 1; i >= 0;
-       --i) {
-    deques[static_cast<std::size_t>(i) % static_cast<std::size_t>(n)]
-        ->PushBottom(i);
-  }
-
-  mc::Atomic<bool> pool_stop{false};
-  mc::Atomic<bool> found_sat{false};
-  mc::Atomic<bool> refuted{false};
-  mc::Atomic<std::size_t> resolved{0};
-  mc::Atomic<std::size_t> stolen{0};
+  std::atomic<bool> pool_stop{false};
+  std::atomic<bool> found_sat{false};
+  std::atomic<bool> refuted{false};
+  std::atomic<std::size_t> resolved{0};
   mc::Mutex winner_mutex;
 
   // Telemetry plumbing. Each slot below is written only by its own worker
@@ -89,37 +135,6 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
   out.worker_loads.resize(static_cast<std::size_t>(n));
   std::vector<sat::SolverStats> observed_per_worker(
       static_cast<std::size_t>(n));
-
-  const auto take_work = [&](int w, std::int64_t* idx, std::uint64_t tid) {
-    if (deques[static_cast<std::size_t>(w)]->PopBottom(idx)) return true;
-    if (options_.deterministic) return false;
-    // Steal phase: scan the other deques until one yields work or all are
-    // empty. A failed Steal can mean "lost a race", so emptiness of every
-    // deque — not a single failed attempt — is the termination condition
-    // (the cube supply is fixed; an empty deque never refills).
-    while (!pool_stop.load(std::memory_order_relaxed)) {
-      bool any_nonempty = false;
-      for (int k = 1; k < n; ++k) {
-        const int victim_index = (w + k) % n;
-        WorkStealingDeque& victim =
-            *deques[static_cast<std::size_t>(victim_index)];
-        if (victim.Steal(idx)) {
-          stolen.fetch_add(1, std::memory_order_relaxed);
-          ++out.worker_loads[static_cast<std::size_t>(w)].steals;
-          if (trace != nullptr) {
-            trace->InstantEvent("steal", "cube", tid, trace->NowMicros(),
-                                {{"cube", obs::JsonValue(*idx)},
-                                 {"from", obs::JsonValue(victim_index)}});
-          }
-          return true;
-        }
-        if (!victim.Empty()) any_nonempty = true;
-      }
-      if (!any_nonempty) return false;
-      std::this_thread::yield();
-    }
-    return false;
-  };
 
   const auto run_worker = [&](int w) {
     sat::Solver& solver = *workers_[static_cast<std::size_t>(w)];
@@ -134,17 +149,27 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
       solver.SetObserver(&*observer);
     }
     std::vector<sat::Lit> assumptions;
-    std::int64_t idx = 0;
     while (!pool_stop.load(std::memory_order_relaxed)) {
       if (external_stop != nullptr &&
           external_stop->load(std::memory_order_relaxed)) {
         pool_stop.store(true, std::memory_order_relaxed);
         break;
       }
-      if (!take_work(w, &idx, tid)) break;
+      const std::optional<CubeShares::Taken> taken =
+          shares.Take(w, !options_.deterministic);
+      if (!taken.has_value()) break;
+      const std::size_t idx = taken->cube;
+      if (taken->from != w) {
+        ++load.steals;
+        if (trace != nullptr) {
+          trace->InstantEvent(
+              "steal", "cube", tid, trace->NowMicros(),
+              {{"cube", obs::JsonValue(static_cast<std::uint64_t>(idx))},
+               {"from", obs::JsonValue(taken->from)}});
+        }
+      }
       assumptions = base_assumptions;
-      const std::vector<sat::Lit>& cube =
-          cubes[static_cast<std::size_t>(idx)];
+      const std::vector<sat::Lit>& cube = cubes[idx];
       assumptions.insert(assumptions.end(), cube.begin(), cube.end());
       std::optional<obs::TraceSpan> cube_span;
       if (trace != nullptr) {
@@ -194,7 +219,7 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
   // external_stop between cubes — a worker deep in a hard cube would never
   // see an external cancellation. The monitor bridges the two, so stopping
   // the pool (portfolio loss, CLI ^C path) interrupts mid-cube search.
-  mc::Atomic<bool> batch_done{false};
+  std::atomic<bool> batch_done{false};
   std::thread monitor;
   if (external_stop != nullptr) {
     monitor = std::thread([&] {
@@ -219,7 +244,9 @@ CubeWorkerPool::BatchResult CubeWorkerPool::SolveBatch(
   if (monitor.joinable()) monitor.join();
 
   out.cubes_resolved = resolved.load(std::memory_order_relaxed);
-  out.cubes_stolen = stolen.load(std::memory_order_relaxed);
+  for (const WorkerLoad& load : out.worker_loads) {
+    out.cubes_stolen += load.steals;
+  }
   if (telemetry) {
     out.has_observed = true;
     for (const sat::SolverStats& s : observed_per_worker) {

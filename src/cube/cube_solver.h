@@ -3,13 +3,14 @@
 //
 // A CubeWorkerPool owns N sat::Solver instances, one per worker, each
 // loaded once with the full formula by a caller-supplied setup callback.
-// Every SolveBatch call then distributes a cube set over the workers
-// (Chase-Lev deques, round-robin seeding, work stealing for the stragglers)
-// and solves each cube with SolveWithAssumptions on the worker's RESIDENT
-// solver — learnt clauses, VSIDS activities, phase saving, and learnt-tier
-// state persist across cubes and across batches, which is where the
-// approach beats fork-per-cube designs: each refuted cube strengthens the
-// solver that will refute the next one. Workers share no clauses.
+// Every SolveBatch call then deals the cube set into one share per worker
+// (cube i goes to worker i mod n, one mutex guards every share, and an idle
+// worker steals from the back of another's share) and solves each cube
+// with SolveWithAssumptions on the worker's RESIDENT solver — learnt
+// clauses, VSIDS activities, phase saving, and learnt-tier state persist
+// across cubes and across batches, which is where the approach beats
+// fork-per-cube designs: each refuted cube strengthens the solver that will
+// refute the next one. Workers share no clauses.
 //
 // Verdict aggregation is exact:
 //   * any cube SAT            => kSat with that worker's model (callers
@@ -40,7 +41,6 @@
 
 #include "common/stopwatch.h"
 #include "cube/cube_gen.h"
-#include "mc/shim.h"
 #include "encode/registry.h"
 #include "graph/graph.h"
 #include "sat/solver.h"
@@ -76,9 +76,9 @@ class CubeWorkerPool {
   struct WorkerLoad {
     /// Wall time this worker spent inside SolveWithAssumptions.
     double busy_seconds = 0.0;
-    /// Cubes this worker solved (own deque + stolen).
+    /// Cubes this worker solved (own share + stolen).
     std::size_t cubes = 0;
-    /// Cubes this worker stole from other workers' deques.
+    /// Cubes this worker stole from other workers' shares.
     std::size_t steals = 0;
   };
 
@@ -93,7 +93,7 @@ class CubeWorkerPool {
     bool refuted = false;
     /// Cubes individually refuted in this batch.
     std::size_t cubes_resolved = 0;
-    /// Cubes a worker took from another worker's deque.
+    /// Cubes a worker took from another worker's share (Σ steals).
     std::size_t cubes_stolen = 0;
     /// One entry per worker.
     std::vector<WorkerLoad> worker_loads;
@@ -111,7 +111,7 @@ class CubeWorkerPool {
   BatchResult SolveBatch(const std::vector<std::vector<sat::Lit>>& cubes,
                          const std::vector<sat::Lit>& base_assumptions,
                          Deadline deadline = Deadline(),
-                         const mc::Atomic<bool>* external_stop = nullptr);
+                         const std::atomic<bool>* external_stop = nullptr);
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
   /// False once any worker's formula was refuted (at load or in a batch).
@@ -132,7 +132,7 @@ struct CubeSolveOptions {
   /// Wall-clock budget for the whole solve; <= 0 means unlimited.
   double timeout_seconds = 0.0;
   /// Optional cooperative cancellation (portfolio member use).
-  const mc::Atomic<bool>* stop = nullptr;
+  const std::atomic<bool>* stop = nullptr;
   /// Telemetry label (trace spans / run-report records); empty is fine.
   std::string run_label;
 };

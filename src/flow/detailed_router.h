@@ -7,11 +7,11 @@
 // solving.
 #pragma once
 
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "analysis/diagnostic.h"
-#include "mc/shim.h"
 #include "common/stopwatch.h"
 #include "encode/csp_to_cnf.h"
 #include "encode/registry.h"
@@ -30,7 +30,7 @@ struct DetailedRouteOptions {
   /// Wall-clock budget for the SAT call; <= 0 means unlimited.
   double timeout_seconds = 0.0;
   /// Optional cooperative stop flag (portfolio cancellation).
-  const mc::Atomic<bool>* stop = nullptr;
+  const std::atomic<bool>* stop = nullptr;
   /// Record a DRUP-style proof and re-verify kUnsat answers with the
   /// independent RUP checker (see DetailedRouteResult::proof_verified).
   /// Costs memory proportional to the clauses learned.

@@ -29,7 +29,7 @@ SolveStep::~SolveStep() {
 
 sat::SolveResult SolveStep::Solve(const std::vector<sat::Lit>& assumptions,
                                   Deadline deadline,
-                                  const mc::Atomic<bool>* stop,
+                                  const std::atomic<bool>* stop,
                                   const std::string& span_name,
                                   double encode_seconds) {
   obs::TraceSpan span(trace_, span_name, record_.phase);

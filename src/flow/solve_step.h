@@ -4,12 +4,12 @@
 // size, coloring time, session deltas).
 #pragma once
 
+#include <atomic>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "mc/shim.h"
 #include "obs/run_report.h"
 #include "obs/solver_trace.h"
 #include "sat/solver.h"
@@ -42,7 +42,7 @@ class SolveStep {
   /// Runs the query under a span named `span_name`, closes the window and
   /// appends the record (with `encode_seconds`) when reporting.
   sat::SolveResult Solve(const std::vector<sat::Lit>& assumptions,
-                         Deadline deadline, const mc::Atomic<bool>* stop,
+                         Deadline deadline, const std::atomic<bool>* stop,
                          const std::string& span_name, double encode_seconds);
 
   /// Solver stats over the step's window (valid after Solve).

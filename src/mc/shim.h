@@ -1,303 +1,37 @@
-// Instrumented atomics/fence/mutex shim for the lock-free layers.
+// Annotated mutex for the threaded layers.
 //
-// mc::Atomic<T>, mc::Fence and mc::Mutex are drop-in spellings of
-// std::atomic<T>, std::atomic_thread_fence and std::mutex with one extra
-// property: under the SATFR_MODEL_CHECK build option, every operation
-// issued from inside an mc::Check schedule routes through the model
-// checker's cooperative scheduler (src/mc/model_check.h), which owns the
-// interleaving and — for loads — the choice of which store to observe.
-//
-// In normal builds every method is an inline forward to the std
-// counterpart: same memory orders, same codegen, zero cost (the PR 5
-// bench-regression gate is the enforcement). In SATFR_MODEL_CHECK builds,
-// operations executed OUTSIDE a model-check schedule (other tests, tools)
-// still pass through to the real atomic, so an instrumented binary behaves
-// normally everywhere except inside mc::Check.
-//
-// The shim carries the clang thread-safety annotations
-// (src/mc/annotations.h): mutex-guarded state anywhere in the tree is
-// declared SATFR_GUARDED_BY(an mc::Mutex) and locked through mc::MutexLock,
-// which is what lets the `thread-safety` CI job prove locking discipline
-// statically.
-//
-// Model-check caveats (documented, deliberate):
-//   * Only shim operations are visible to the checker. Plain loads/stores
-//     are not instrumented — data races on non-atomics remain TSan's job.
-//   * compare_exchange_weak never fails spuriously in-model.
-//   * A structure must not be handed mid-lifetime from uninstrumented
-//     threads into a schedule: create it inside the mc::Check body.
+// mc::Mutex is std::mutex with clang's capability attributes
+// (src/mc/annotations.h), and mc::MutexLock is the matching scoped lock.
+// libstdc++'s std::mutex and std::lock_guard carry no annotations, so
+// mutex-guarded state anywhere in the tree is declared SATFR_GUARDED_BY(an
+// mc::Mutex) and locked through mc::MutexLock; that is what lets the
+// `thread-safety` CI job prove locking discipline statically. Atomics are
+// spelled std::atomic directly.
 #ifndef SATFR_MC_SHIM_H_
 #define SATFR_MC_SHIM_H_
 
 #include <atomic>
-#include <cstdint>
 #include <mutex>
-#include <type_traits>
 
 #include "mc/annotations.h"
 
 namespace satfr::mc {
 
-#if defined(SATFR_MODEL_CHECK)
+// Kept only because perfbench/corpus.cpp spells its stop flag with this
+// alias (Atomic<bool> in satfr::mc) and reaches it through sat/solver.h.
+// The benchmark change that next touches perfbench/ spells it
+// std::atomic<bool> and removes this line.
+template <typename T> using Atomic = std::atomic<T>;
 
-namespace detail {
-
-// True when the calling thread is a registered participant of an active
-// mc::Check schedule; every shim fast path checks this first.
-bool Routed();
-
-// Raw-word operations on a scheduler-owned location, keyed by object
-// address. `seed` is the location's current passthrough value, used to
-// initialize its store history on first in-schedule touch.
-std::uint64_t AtomicLoad(const void* loc, std::uint64_t seed, std::memory_order order);
-void AtomicStore(void* loc, std::uint64_t seed, std::uint64_t value, std::memory_order order);
-// Applies `op` to the newest store (C++ RMW atomicity) and returns the old
-// raw value. `op` must be pure.
-std::uint64_t AtomicRmw(void* loc, std::uint64_t seed, std::memory_order order,
-                        std::uint64_t (*op)(std::uint64_t, std::uint64_t), std::uint64_t operand);
-// Returns true and performs an RMW write of `desired` when the newest
-// store equals *expected; otherwise loads the newest store into *expected.
-bool AtomicCas(void* loc, std::uint64_t seed, std::uint64_t* expected, std::uint64_t desired,
-               std::memory_order success, std::memory_order failure);
-void FenceOp(std::memory_order order);
-// Clears any stale history a prior object at this address left behind.
-void ResetLocation(void* loc);
-void MutexLockOp(void* mutex);
-void MutexUnlockOp(void* mutex);
-bool MutexTryLockOp(void* mutex);
-
-}  // namespace detail
-
-#endif  // SATFR_MODEL_CHECK
-
-namespace detail {
-
-/// T <-> raw-word conversions for the model-checked store history.
-/// Integrals are value-cast (truncating on read-back, so arithmetic done in
-/// the T domain round-trips exactly); pointers go through uintptr_t.
-template <typename T>
-inline std::uint64_t ToRaw(T v) {
-  if constexpr (std::is_pointer_v<T>) {
-    return static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(v));
-  } else {
-    return static_cast<std::uint64_t>(v);
-  }
-}
-
-template <typename T>
-inline T FromRaw(std::uint64_t raw) {
-  if constexpr (std::is_pointer_v<T>) {
-    return reinterpret_cast<T>(static_cast<std::uintptr_t>(raw));
-  } else {
-    return static_cast<T>(raw);
-  }
-}
-
-/// The failure order implied by a one-order compare_exchange call.
-constexpr std::memory_order CasFailureOrder(std::memory_order success) {
-  switch (success) {
-    case std::memory_order_acq_rel:
-      return std::memory_order_acquire;
-    case std::memory_order_release:
-      return std::memory_order_relaxed;
-    default:
-      return success == std::memory_order_seq_cst ? std::memory_order_seq_cst
-                                                  : success;
-  }
-}
-
-}  // namespace detail
-
-template <typename T>
-class Atomic {
- public:
-#if defined(SATFR_MODEL_CHECK)
-  Atomic() noexcept : value_(T{}) {
-    if (detail::Routed()) detail::ResetLocation(this);
-  }
-  Atomic(T v) noexcept : value_(v) {  // NOLINT(google-explicit-constructor): mirrors std::atomic
-    if (detail::Routed()) detail::ResetLocation(this);
-  }
-#else
-  constexpr Atomic() noexcept : value_(T{}) {}
-  constexpr Atomic(T v) noexcept : value_(v) {}  // NOLINT(google-explicit-constructor)
-#endif
-
-  Atomic(const Atomic&) = delete;
-  Atomic& operator=(const Atomic&) = delete;
-
-  T load(std::memory_order order = std::memory_order_seq_cst) const {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      return detail::FromRaw<T>(detail::AtomicLoad(
-          this, detail::ToRaw(value_.load(std::memory_order_relaxed)),
-          order));
-    }
-#endif
-    return value_.load(order);
-  }
-
-  void store(T v, std::memory_order order = std::memory_order_seq_cst) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      detail::AtomicStore(
-          this, detail::ToRaw(value_.load(std::memory_order_relaxed)),
-          detail::ToRaw(v), order);
-      value_.store(v, std::memory_order_relaxed);
-      return;
-    }
-#endif
-    value_.store(v, order);
-  }
-
-  T exchange(T v, std::memory_order order = std::memory_order_seq_cst) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      const std::uint64_t old = detail::AtomicRmw(
-          this, detail::ToRaw(value_.load(std::memory_order_relaxed)), order,
-          [](std::uint64_t, std::uint64_t operand) { return operand; },
-          detail::ToRaw(v));
-      value_.store(v, std::memory_order_relaxed);
-      return detail::FromRaw<T>(old);
-    }
-#endif
-    return value_.exchange(v, order);
-  }
-
-  T fetch_add(T delta, std::memory_order order = std::memory_order_seq_cst) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      const std::uint64_t old = detail::AtomicRmw(
-          this, detail::ToRaw(value_.load(std::memory_order_relaxed)), order,
-          [](std::uint64_t current, std::uint64_t operand) {
-            // Arithmetic in the T domain so narrow types wrap correctly.
-            return detail::ToRaw(
-                static_cast<T>(detail::FromRaw<T>(current) +
-                               detail::FromRaw<T>(operand)));
-          },
-          detail::ToRaw(delta));
-      value_.store(static_cast<T>(detail::FromRaw<T>(old) + delta),
-                   std::memory_order_relaxed);
-      return detail::FromRaw<T>(old);
-    }
-#endif
-    return value_.fetch_add(delta, order);
-  }
-
-  T fetch_sub(T delta, std::memory_order order = std::memory_order_seq_cst) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      return fetch_add(static_cast<T>(T{} - delta), order);
-    }
-#endif
-    return value_.fetch_sub(delta, order);
-  }
-
-  bool compare_exchange_strong(T& expected, T desired,
-                               std::memory_order success,
-                               std::memory_order failure) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      std::uint64_t raw_expected = detail::ToRaw(expected);
-      const bool won =
-          detail::AtomicCas(this,
-                            detail::ToRaw(value_.load(std::memory_order_relaxed)),
-                            &raw_expected, detail::ToRaw(desired), success,
-                            failure);
-      if (won) {
-        value_.store(desired, std::memory_order_relaxed);
-      } else {
-        expected = detail::FromRaw<T>(raw_expected);
-      }
-      return won;
-    }
-#endif
-    return value_.compare_exchange_strong(expected, desired, success, failure);
-  }
-
-  bool compare_exchange_strong(T& expected, T desired,
-                               std::memory_order order =
-                                   std::memory_order_seq_cst) {
-    return compare_exchange_strong(expected, desired, order,
-                                   detail::CasFailureOrder(order));
-  }
-
-  /// In-model, weak == strong (no spurious failures; callers' retry loops
-  /// are exercised through genuine interleavings instead).
-  bool compare_exchange_weak(T& expected, T desired, std::memory_order success,
-                             std::memory_order failure) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      return compare_exchange_strong(expected, desired, success, failure);
-    }
-#endif
-    return value_.compare_exchange_weak(expected, desired, success, failure);
-  }
-
-  bool compare_exchange_weak(T& expected, T desired,
-                             std::memory_order order =
-                                 std::memory_order_seq_cst) {
-    return compare_exchange_weak(expected, desired, order,
-                                 detail::CasFailureOrder(order));
-  }
-
- private:
-  std::atomic<T> value_;
-};
-
-/// std::atomic_thread_fence through the scheduler when routed.
-inline void Fence(std::memory_order order) {
-#if defined(SATFR_MODEL_CHECK)
-  if (detail::Routed()) {
-    detail::FenceOp(order);
-    return;
-  }
-#endif
-  std::atomic_thread_fence(order);
-}
-
-/// Cooperative yield: the scheduler treats it as a "hand the processor to
-/// someone else" point, which is what lets model-checked spin loops make
-/// progress. std::this_thread::yield() otherwise. Defined out of line
-/// (model_check.cpp) — it only ever sits on spin-wait paths that already
-/// pay a syscall, never on the lock-free fast paths.
-void Yield();
-
-/// Annotated mutex. Under model check, lock ownership and blocking are
-/// simulated by the scheduler (with release/acquire clock transfer), so
-/// mutex-protected invariants are explored across interleavings too.
 class SATFR_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() SATFR_ACQUIRE() {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      detail::MutexLockOp(this);
-      return;
-    }
-#endif
-    mutex_.lock();
-  }
-
-  void unlock() SATFR_RELEASE() {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) {
-      detail::MutexUnlockOp(this);
-      return;
-    }
-#endif
-    mutex_.unlock();
-  }
-
-  bool try_lock() SATFR_TRY_ACQUIRE(true) {
-#if defined(SATFR_MODEL_CHECK)
-    if (detail::Routed()) return detail::MutexTryLockOp(this);
-#endif
-    return mutex_.try_lock();
-  }
+  void lock() SATFR_ACQUIRE() { mutex_.lock(); }
+  void unlock() SATFR_RELEASE() { mutex_.unlock(); }
+  bool try_lock() SATFR_TRY_ACQUIRE(true) { return mutex_.try_lock(); }
 
  private:
   std::mutex mutex_;

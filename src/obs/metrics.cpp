@@ -7,7 +7,7 @@ namespace satfr::obs {
 namespace {
 
 std::uint64_t NextRegistryId() {
-  static mc::Atomic<std::uint64_t> next{1};
+  static std::atomic<std::uint64_t> next{1};
   // relaxed: the id only needs to be unique; it orders nothing.
   return next.fetch_add(1, std::memory_order_relaxed);
 }

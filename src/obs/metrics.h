@@ -122,7 +122,7 @@ class MetricsRegistry {
   struct Shard {
     // relaxed everywhere: slots are statistics, each written by one thread
     // and only folded together under the registry mutex in Snapshot.
-    mc::Atomic<std::uint64_t> slots[kShardSlots];
+    std::atomic<std::uint64_t> slots[kShardSlots];
     Shard() {
       for (auto& s : slots) s.store(0, std::memory_order_relaxed);
     }
@@ -145,7 +145,7 @@ class MetricsRegistry {
   // references, and deque growth never relocates existing elements. The
   // container is guarded; the atomics inside are written under the mutex
   // but may be read lock-free through stable references.
-  std::deque<mc::Atomic<std::int64_t>> gauges_ SATFR_GUARDED_BY(mutex_);
+  std::deque<std::atomic<std::int64_t>> gauges_ SATFR_GUARDED_BY(mutex_);
   std::vector<std::string> gauge_names_ SATFR_GUARDED_BY(mutex_);
   std::vector<std::unique_ptr<Shard>> shards_ SATFR_GUARDED_BY(mutex_);
   std::uint32_t next_slot_ SATFR_GUARDED_BY(mutex_) = 0;

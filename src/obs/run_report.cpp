@@ -220,7 +220,7 @@ bool LoadRunReport(const std::string& path, std::vector<RunRecord>* records,
 }
 
 namespace {
-mc::Atomic<RunReportWriter*> g_report{nullptr};
+std::atomic<RunReportWriter*> g_report{nullptr};
 }  // namespace
 
 RunReportWriter* GlobalReport() {

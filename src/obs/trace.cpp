@@ -12,7 +12,7 @@ std::uint64_t TraceWriter::NowMicros() const {
 }
 
 std::uint64_t TraceWriter::CurrentTid() {
-  static mc::Atomic<std::uint64_t> next{1};
+  static std::atomic<std::uint64_t> next{1};
   thread_local const std::uint64_t tid =
       next.fetch_add(1, std::memory_order_relaxed);
   return tid;
@@ -105,7 +105,7 @@ bool TraceWriter::WriteFile(const std::string& path,
 }
 
 namespace {
-mc::Atomic<TraceWriter*> g_trace{nullptr};
+std::atomic<TraceWriter*> g_trace{nullptr};
 }  // namespace
 
 TraceWriter* GlobalTrace() {

@@ -26,7 +26,7 @@ namespace {
 flow::DetailedRouteResult RunWalkSatStrategy(
     const graph::Graph& conflict_graph, int num_tracks,
     const Strategy& strategy, double timeout_seconds,
-    const mc::Atomic<bool>* stop) {
+    const std::atomic<bool>* stop) {
   flow::DetailedRouteResult result;
   Stopwatch watch;
   const auto sequence = symmetry::SymmetrySequence(
@@ -91,7 +91,7 @@ PortfolioResult RunPortfolio(const graph::Graph& conflict_graph,
   if (strategies.empty()) return out;
 
   Stopwatch stopwatch;
-  mc::Atomic<bool> stop{false};
+  std::atomic<bool> stop{false};
   mc::Mutex winner_mutex;
   std::vector<std::thread> threads;
   threads.reserve(strategies.size());

@@ -1238,7 +1238,7 @@ double Solver::Luby(double y, int i) {
 }
 
 LBool Solver::Search(std::int64_t conflict_budget, const Deadline& deadline,
-                     const mc::Atomic<bool>* stop) {
+                     const std::atomic<bool>* stop) {
   std::int64_t conflicts_here = 0;
   Clause learnt;
   for (;;) {
@@ -1346,7 +1346,7 @@ LBool Solver::Search(std::int64_t conflict_budget, const Deadline& deadline,
   }
 }
 
-SolveResult Solver::Solve(Deadline deadline, const mc::Atomic<bool>* stop) {
+SolveResult Solver::Solve(Deadline deadline, const std::atomic<bool>* stop) {
   return SolveWithAssumptions({}, deadline, stop);
 }
 
@@ -1653,7 +1653,7 @@ bool Solver::CheckInvariants(std::string* error) const {
 
 SolveResult Solver::SolveWithAssumptions(const std::vector<Lit>& assumptions,
                                          Deadline deadline,
-                                         const mc::Atomic<bool>* stop) {
+                                         const std::atomic<bool>* stop) {
   Stopwatch stopwatch;
   model_.clear();
   budget_exhausted_ = false;

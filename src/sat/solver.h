@@ -38,7 +38,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "mc/shim.h"
+#include "mc/shim.h"  // perfbench/corpus.cpp reaches the Atomic alias here
 #include "common/stopwatch.h"
 #include "sat/cnf.h"
 #include "sat/types.h"
@@ -252,7 +252,7 @@ class Solver {
   /// Runs the CDCL search. `deadline` bounds wall-clock time; `stop`, when
   /// non-null, aborts as soon as it becomes true (portfolio cancellation).
   SolveResult Solve(Deadline deadline = Deadline(),
-                    const mc::Atomic<bool>* stop = nullptr);
+                    const std::atomic<bool>* stop = nullptr);
 
   /// Incremental interface: solves under the given assumption literals.
   /// kUnsat means "unsatisfiable under these assumptions" — unless okay()
@@ -260,7 +260,7 @@ class Solver {
   /// with different assumptions while keeping everything it has learned.
   SolveResult SolveWithAssumptions(const std::vector<Lit>& assumptions,
                                    Deadline deadline = Deadline(),
-                                   const mc::Atomic<bool>* stop = nullptr);
+                                   const std::atomic<bool>* stop = nullptr);
 
   /// Model of the last kSat answer, indexed by variable.
   const std::vector<bool>& model() const { return model_; }
@@ -533,7 +533,7 @@ class Solver {
   // Returns kTrue (model found), kFalse (UNSAT), or kUndef (restart or
   // budget exhausted; check budget_exhausted_).
   LBool Search(std::int64_t conflict_budget, const Deadline& deadline,
-               const mc::Atomic<bool>* stop);
+               const std::atomic<bool>* stop);
 
   static double Luby(double y, int i);
 

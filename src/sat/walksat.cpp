@@ -90,7 +90,7 @@ void WalkSat::Flip(Var v) {
 }
 
 SolveResult WalkSat::Solve(Deadline deadline,
-                           const mc::Atomic<bool>* stop) {
+                           const std::atomic<bool>* stop) {
   Stopwatch stopwatch;
   // Empty clauses can never be satisfied; bail out honestly.
   for (const Clause& clause : cnf_.clauses()) {

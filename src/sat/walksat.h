@@ -13,7 +13,6 @@
 #include <cstdint>
 
 #include "common/rng.h"
-#include "mc/shim.h"
 #include "common/stopwatch.h"
 #include "sat/cnf.h"
 #include "sat/solver.h"  // SolveResult
@@ -44,7 +43,7 @@ class WalkSat {
   /// Runs local search. Returns kSat with a model, or kUnknown when the
   /// budget (tries/deadline/stop flag) is exhausted. Never returns kUnsat.
   SolveResult Solve(Deadline deadline = Deadline(),
-                    const mc::Atomic<bool>* stop = nullptr);
+                    const std::atomic<bool>* stop = nullptr);
 
   const std::vector<bool>& model() const { return assignment_; }
   const WalkSatStats& stats() const { return stats_; }

@@ -85,7 +85,7 @@ RoutingService::Ticket RoutingService::Submit(RouteRequest request) {
   auto shared = std::make_shared<RouteRequest>(std::move(request));
   pending->job = scheduler_.Submit(
       [this, shared, fingerprint,
-       slot = pending](const mc::Atomic<bool>& stop) {
+       slot = pending](const std::atomic<bool>& stop) {
         ExecuteRoute(*shared, fingerprint, *slot, stop);
       },
       shared->priority);
@@ -151,7 +151,7 @@ void RoutingService::Drain() {
 
 void RoutingService::ExecuteRoute(const RouteRequest& request,
                                   std::uint64_t fingerprint, Pending& pending,
-                                  const mc::Atomic<bool>& stop) {
+                                  const std::atomic<bool>& stop) {
   Response& r = pending.response;
   obs::MetricsRegistry& m = metrics();
   m.Observe(id_queue_us_, Micros(pending.submitted.Seconds()));
@@ -341,7 +341,7 @@ RoutingService::Ticket RoutingService::SubmitSessionOp(
     // Deltas outrank fresh routes (priority 1 > default 0): a client
     // blocked on a microsecond apply should not sit behind cold solves.
     scheduler_.Submit(
-        [this, session](const mc::Atomic<bool>&) { PumpSession(session); },
+        [this, session](const std::atomic<bool>&) { PumpSession(session); },
         /*priority=*/1);
   }
   return ticket;

@@ -33,6 +33,7 @@
 #ifndef SATFR_SERVICE_ROUTING_SERVICE_H_
 #define SATFR_SERVICE_ROUTING_SERVICE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -244,7 +245,7 @@ class RoutingService {
   void PumpSession(const std::shared_ptr<Session>& session);
   /// `fingerprint` is FingerprintGraph(*request.graph), taken at Submit.
   void ExecuteRoute(const RouteRequest& request, std::uint64_t fingerprint,
-                    Pending& pending, const mc::Atomic<bool>& stop);
+                    Pending& pending, const std::atomic<bool>& stop);
   void ExecuteSessionOp(Session& session, const SessionOp& op);
 
   const ServiceOptions options_;
@@ -264,8 +265,8 @@ class RoutingService {
   std::unordered_map<std::string, std::shared_ptr<Session>> sessions_
       SATFR_GUARDED_BY(sessions_mutex_);
 
-  mc::Atomic<std::uint64_t> stat_requests_{0};
-  mc::Atomic<std::uint64_t> stat_session_ops_{0};
+  std::atomic<std::uint64_t> stat_requests_{0};
+  std::atomic<std::uint64_t> stat_session_ops_{0};
 
   // Resolved once against metrics() (service.* namespace); latencies in µs.
   obs::MetricId id_requests_;

@@ -7,12 +7,13 @@
 //
 // Cancellation is decided under the same mutex. A job still queued is
 // removed and never runs; a job already running has its stop flag set —
-// the `mc::Atomic<bool>` the body is handed, which routing jobs wire into
+// the `std::atomic<bool>` the body is handed, which routing jobs wire into
 // `DetailedRouteOptions::stop` so an in-flight SAT search aborts at its
 // next restart check.
 #ifndef SATFR_SERVICE_SCHEDULER_H_
 #define SATFR_SERVICE_SCHEDULER_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -47,7 +48,7 @@ class JobScheduler {
   /// A job body. The flag is the job's stop signal, false at start;
   /// long-running bodies should poll it (routing jobs pass it straight to
   /// the solver as the stop atomic).
-  using JobFn = std::function<void(const mc::Atomic<bool>& stop)>;
+  using JobFn = std::function<void(const std::atomic<bool>& stop)>;
 
   struct Handle {
     std::uint64_t id = ~std::uint64_t{0};  // default: no job
@@ -101,7 +102,7 @@ class JobScheduler {
   std::map<QueueKey, JobFn> queue_ SATFR_GUARDED_BY(mutex_);
   // Per worker: the stop flag handed to its current job. Reset under
   // mutex_ at pickup, raised under mutex_ by Cancel and shutdown.
-  std::vector<mc::Atomic<bool>> stop_;
+  std::vector<std::atomic<bool>> stop_;
   // Per worker: the id of the job it runs, or kIdle.
   std::vector<std::uint64_t> running_ SATFR_GUARDED_BY(mutex_);
   std::uint64_t next_id_ SATFR_GUARDED_BY(mutex_) = 0;

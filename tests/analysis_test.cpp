@@ -613,63 +613,5 @@ TEST(CubePassesTest, CubeDeterminismNeedsAGraph) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// mc-coverage: the lock-free layers must route through the mc:: shim.
-// ---------------------------------------------------------------------------
-
-AnalysisReport LintSources(const std::vector<SourceFile>& sources) {
-  AnalysisInput input;
-  input.sources = &sources;
-  return Lint(input);
-}
-
-TEST(McCoverageTest, ShimmedSourceIsClean) {
-  const AnalysisReport report = LintSources(
-      {{"src/cube/work_queue.h",
-        "#include <atomic>\n"
-        "#include \"mc/shim.h\"\n"
-        "mc::Atomic<int> top_{0};\n"
-        "mc::Fence(std::memory_order_release);\n"
-        "int x = top_.load(std::memory_order_relaxed);\n"}});
-  EXPECT_TRUE(FindingsOf(report, "mc-coverage").empty())
-      << FormatText(report);
-}
-
-TEST(McCoverageTest, FlagsRawAtomicInScope) {
-  const AnalysisReport report = LintSources(
-      {{"src/cube/work_queue.h", "std::atomic<int> top_{0};\n"}});
-  const auto findings = FindingsOf(report, "mc-coverage");
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("mc::Atomic"), std::string::npos);
-  EXPECT_NE(findings[0].location.find(":1"), std::string::npos);
-}
-
-TEST(McCoverageTest, FlagsRawMutexAndFence) {
-  const AnalysisReport report = LintSources(
-      {{"src/obs/metrics.h", "mutable std::mutex mutex_;\n"},
-       {"src/cube/cube_solver.cpp",
-        "std::atomic_thread_fence(std::memory_order_acquire);\n"}});
-  EXPECT_EQ(FindingsOf(report, "mc-coverage").size(), 2u);
-}
-
-TEST(McCoverageTest, IgnoresOutOfScopeAndShimItself) {
-  const AnalysisReport report = LintSources(
-      {{"src/sat/solver.cpp", "std::atomic<bool> stop{false};\n"},
-       {"src/mc/shim.h", "std::atomic<T> value_;\n"}});
-  EXPECT_TRUE(FindingsOf(report, "mc-coverage").empty())
-      << FormatText(report);
-}
-
-TEST(McCoverageTest, IgnoresCommentText) {
-  const AnalysisReport report = LintSources(
-      {{"src/cube/work_queue.h",
-        "// the old std::atomic<int> version locked up\n"
-        "/* std::mutex was the bottleneck\n"
-        "   std::atomic_thread_fence everywhere */\n"
-        "mc::Atomic<int> top_{0};  // replaces std::atomic<int>\n"}});
-  EXPECT_TRUE(FindingsOf(report, "mc-coverage").empty())
-      << FormatText(report);
-}
-
 }  // namespace
 }  // namespace satfr::analysis

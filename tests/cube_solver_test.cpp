@@ -1,17 +1,21 @@
 #include "cube/cube_solver.h"
-#include "mc/shim.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <map>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/rng.h"
 #include "encode/csp_to_cnf.h"
 #include "encode/registry.h"
 #include "graph/coloring_bounds.h"
 #include "graph/graph.h"
+#include "obs/trace.h"
 #include "sat/clause_sink.h"
 #include "test_util.h"
 
@@ -119,9 +123,166 @@ TEST(CubeSolverTest, DeterministicSingleWorkerReproducesExactly) {
   EXPECT_EQ(second.cubes_stolen, 0u);
 }
 
+// What a traced batch shows of the pool's schedule: the cubes each worker
+// solved, in the order it finished them, and every steal.
+struct PoolSchedule {
+  std::vector<std::vector<std::size_t>> visited;  // by worker index
+  struct Steal {
+    int thief;
+    int victim;
+    std::size_t cube;
+  };
+  std::vector<Steal> steals;
+};
+
+// One batch that is UNSAT only under its base assumptions, which put two
+// adjacent vertices on one color. The formula itself is satisfiable, so no
+// worker can refute it at level 0 and cut the batch short: every cube must
+// be refuted on its own.
+struct ClashBatch {
+  CubeWorkerPool::BatchResult result;
+  std::size_t num_cubes = 0;
+  PoolSchedule schedule;
+};
+
+ClashBatch RunTracedClashBatch(const CubePoolOptions& pool_options) {
+  Rng rng(4242);
+  const graph::Graph g = testutil::RandomGraph(rng, 30, 0.5);
+  const int width = graph::ChromaticNumberExact(g);
+  const encode::EncodingSpec& spec = encode::GetEncoding("muldirect");
+  const encode::DomainEncoding domain = encode::EncodeDomain(spec, width);
+  const auto loader = [&](int, sat::Solver& solver) {
+    sat::SolverSink sink(solver);
+    encode::EncodeColoringToSink(g, width, spec, {}, sink);
+    return sink.Finish();
+  };
+  CubeWorkerPool pool(sat::SolverOptions::SiegeLike(), pool_options, loader);
+  CubeGenOptions gen;
+  gen.target_cubes = 64;
+  const CubeSet cubes = GenerateCubes(g, domain, width, {}, gen);
+  std::vector<sat::Lit> clash;
+  for (const graph::VertexId v : {graph::VertexId{0}, g.Neighbors(0)[0]}) {
+    for (const sat::Lit l : domain.value_cubes[0]) {
+      clash.push_back(
+          sat::Lit::Make(l.var() + v * domain.num_vars, l.negated()));
+    }
+  }
+
+  ClashBatch batch;
+  batch.num_cubes = cubes.cubes.size();
+  obs::TraceWriter writer;
+  obs::SetGlobalTrace(&writer);
+  batch.result = pool.SolveBatch(cubes.cubes, clash);
+  obs::SetGlobalTrace(nullptr);
+
+  // Read the schedule back from the per-worker "cube <i>" spans and
+  // "steal" events; worker tracks are named "cube-worker <w>".
+  const obs::JsonValue doc = writer.ToJson();
+  const obs::JsonArray& events = doc.Find("traceEvents")->AsArray();
+  const std::string track = "cube-worker ";
+  std::map<std::uint64_t, int> worker_of_tid;
+  for (const obs::JsonValue& ev : events) {
+    if (ev.Find("ph")->AsString() != "M") continue;
+    const std::string& name = ev.Find("args")->Find("name")->AsString();
+    if (name.rfind(track, 0) != 0) continue;
+    worker_of_tid[ev.Find("tid")->AsUint()] =
+        std::stoi(name.substr(track.size()));
+  }
+  batch.schedule.visited.resize(
+      static_cast<std::size_t>(pool_options.num_workers));
+  for (const obs::JsonValue& ev : events) {
+    const auto worker = worker_of_tid.find(ev.Find("tid")->AsUint());
+    if (worker == worker_of_tid.end()) continue;
+    const std::string& ph = ev.Find("ph")->AsString();
+    const std::string& name = ev.Find("name")->AsString();
+    if (ph == "X" && name.rfind("cube ", 0) == 0) {
+      batch.schedule.visited[static_cast<std::size_t>(worker->second)]
+          .push_back(static_cast<std::size_t>(std::stoul(name.substr(5))));
+    } else if (ph == "i" && name == "steal") {
+      const obs::JsonValue* args = ev.Find("args");
+      batch.schedule.steals.push_back(
+          {worker->second, static_cast<int>(args->Find("from")->AsInt()),
+           static_cast<std::size_t>(args->Find("cube")->AsUint())});
+    }
+  }
+  return batch;
+}
+
+TEST(CubeSolverTest, StealingPoolSolvesEveryCubeExactlyOnce) {
+  constexpr int kWorkers = 4;
+  CubePoolOptions pool_options;
+  pool_options.num_workers = kWorkers;
+  for (int round = 0; round < 4; ++round) {
+    const ClashBatch batch = RunTracedClashBatch(pool_options);
+    const CubeWorkerPool::BatchResult& result = batch.result;
+    ASSERT_EQ(result.status, sat::SolveResult::kUnsat);
+    ASSERT_FALSE(result.refuted);
+    ASSERT_GE(batch.num_cubes, static_cast<std::size_t>(2 * kWorkers));
+    ASSERT_EQ(result.worker_loads.size(), static_cast<std::size_t>(kWorkers));
+
+    std::size_t solved = 0;
+    std::size_t steals = 0;
+    for (const CubeWorkerPool::WorkerLoad& load : result.worker_loads) {
+      solved += load.cubes;
+      steals += load.steals;
+    }
+    EXPECT_EQ(solved, result.cubes_resolved);
+    EXPECT_EQ(result.cubes_resolved, batch.num_cubes);
+    EXPECT_EQ(steals, result.cubes_stolen);
+    EXPECT_EQ(batch.schedule.steals.size(), result.cubes_stolen);
+
+    std::vector<std::size_t> all;
+    for (const auto& visited : batch.schedule.visited) {
+      all.insert(all.end(), visited.begin(), visited.end());
+    }
+    std::sort(all.begin(), all.end());
+    ASSERT_EQ(all.size(), batch.num_cubes);
+    for (std::size_t i = 0; i < all.size(); ++i) {
+      ASSERT_EQ(all[i], i) << "cube lost or solved twice";
+    }
+
+    // A thief takes the back of the victim's share, so the victim itself
+    // only ever reaches cubes below anything stolen from it.
+    for (const PoolSchedule::Steal& steal : batch.schedule.steals) {
+      const auto victim = static_cast<std::size_t>(steal.victim);
+      EXPECT_NE(steal.thief, steal.victim);
+      EXPECT_EQ(steal.cube % kWorkers, victim);
+      for (const std::size_t own : batch.schedule.visited[victim]) {
+        if (own % kWorkers == victim) {
+          EXPECT_LT(own, steal.cube);
+        }
+      }
+    }
+  }
+}
+
+TEST(CubeSolverTest, DeterministicPoolWalksEachShareInOrder) {
+  constexpr int kWorkers = 3;
+  CubePoolOptions pool_options;
+  pool_options.num_workers = kWorkers;
+  pool_options.deterministic = true;
+  const ClashBatch batch = RunTracedClashBatch(pool_options);
+  const CubeWorkerPool::BatchResult& result = batch.result;
+  ASSERT_EQ(result.status, sat::SolveResult::kUnsat);
+  ASSERT_EQ(result.worker_loads.size(), static_cast<std::size_t>(kWorkers));
+  EXPECT_EQ(result.cubes_stolen, 0u);
+  EXPECT_TRUE(batch.schedule.steals.empty());
+  for (int w = 0; w < kWorkers; ++w) {
+    EXPECT_EQ(result.worker_loads[static_cast<std::size_t>(w)].steals, 0u);
+    // Worker w's share is exactly the cubes i ≡ w (mod n), ascending.
+    std::vector<std::size_t> share;
+    for (std::size_t i = static_cast<std::size_t>(w); i < batch.num_cubes;
+         i += kWorkers) {
+      share.push_back(i);
+    }
+    EXPECT_EQ(batch.schedule.visited[static_cast<std::size_t>(w)], share)
+        << "worker " << w;
+  }
+}
+
 TEST(CubeSolverTest, PreSetStopCancelsBeforeAnyCube) {
   const graph::Graph g = Cycle(9);
-  satfr::mc::Atomic<bool> stop{true};
+  std::atomic<bool> stop{true};
   CubeSolveOptions options = Workers(2);
   options.stop = &stop;
   const CubeSolveResult result = SolveColoringWithCubes(
@@ -135,7 +296,7 @@ TEST(CubeSolverTest, StopMidBatchCancelsWorkers) {
   // worker will finish its cube before the stop lands, so a prompt return
   // with kUnknown demonstrates cancellation reaches solvers mid-cube.
   const graph::Graph g = Complete(16);
-  satfr::mc::Atomic<bool> stop{false};
+  std::atomic<bool> stop{false};
   CubeSolveOptions options = Workers(2);
   options.stop = &stop;
   options.gen.target_cubes = 8;

@@ -1,11 +1,13 @@
 // TSan stress for the metrics registry's sharded hot path: many writer
 // threads hammer counters and histograms (first touch of the registry races
 // with shard creation) while a reader thread snapshots concurrently. The
-// assertions are deliberately light — the point of this binary is running
-// it under ThreadSanitizer in CI, where any lock/ordering bug in the shard
-// cache or snapshot summation is a hard failure.
+// point of this binary is running it under ThreadSanitizer in CI, where any
+// lock/ordering bug in the shard cache or snapshot summation is a hard
+// failure; SnapshotTotalsConserved also checks that a snapshot taken after
+// the writers join accounts for every update exactly.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "obs/metrics.h"
-#include "mc/shim.h"
 
 namespace satfr::obs {
 namespace {
@@ -26,7 +27,7 @@ TEST(MetricsStressTest, ConcurrentShardedUpdatesWithSnapshots) {
   const MetricId histogram = registry.Histogram("stress.histogram");
   const MetricId gauge = registry.Gauge("stress.gauge");
 
-  satfr::mc::Atomic<bool> stop{false};
+  std::atomic<bool> stop{false};
   std::thread reader([&registry, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       const MetricsSnapshot snapshot = registry.Snapshot();
@@ -62,6 +63,64 @@ TEST(MetricsStressTest, ConcurrentShardedUpdatesWithSnapshots) {
   const MetricSnapshot* h = snapshot.Find("stress.histogram");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, static_cast<std::uint64_t>(kWriters) * kIterations);
+}
+
+// The value thread `t` observes on iteration `i`: it sweeps every log2
+// bucket, including 0 and the clamp bucket past 2^32.
+std::uint64_t ObservedValue(int t, int i) {
+  const int shift = (i + t) % 40;
+  if (i % 7 == 0) return 0;
+  return (std::uint64_t{1} << shift) + static_cast<std::uint64_t>(t);
+}
+
+TEST(MetricsStressTest, SnapshotTotalsConserved) {
+  // After the writers join, a snapshot must account for every update
+  // exactly: no counter add lost, no histogram observation lost or filed
+  // under the wrong bucket, and the gauge holding a value some writer set.
+  MetricsRegistry registry;
+  constexpr int kWriters = 4;
+  constexpr int kIterations = 5000;
+  const MetricId counter = registry.Counter("conserve.count");
+  const MetricId histogram = registry.Histogram("conserve.hist");
+  const MetricId gauge = registry.Gauge("conserve.gauge");
+  std::vector<std::thread> writers;
+  writers.reserve(kWriters);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&registry, counter, histogram, gauge, t] {
+      for (int i = 0; i < kIterations; ++i) {
+        registry.Add(counter, static_cast<std::uint64_t>(t + 1));
+        registry.Observe(histogram, ObservedValue(t, i));
+        if (i % 97 == 0) registry.SetGauge(gauge, 100 + t);
+      }
+    });
+  }
+  for (std::thread& w : writers) w.join();
+
+  std::uint64_t expected_total = 0;
+  std::array<std::uint64_t, MetricsRegistry::kHistogramBuckets>
+      expected_buckets{};
+  for (int t = 0; t < kWriters; ++t) {
+    expected_total += static_cast<std::uint64_t>(t + 1) * kIterations;
+    for (int i = 0; i < kIterations; ++i) {
+      ++expected_buckets[MetricsRegistry::BucketFor(ObservedValue(t, i))];
+    }
+  }
+
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  const MetricSnapshot* c = snapshot.Find("conserve.count");
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->value, expected_total);
+  const MetricSnapshot* h = snapshot.Find("conserve.hist");
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, static_cast<std::uint64_t>(kWriters) * kIterations);
+  ASSERT_EQ(h->buckets.size(), expected_buckets.size());
+  for (std::size_t b = 0; b < expected_buckets.size(); ++b) {
+    EXPECT_EQ(h->buckets[b], expected_buckets[b]) << "bucket " << b;
+  }
+  const MetricSnapshot* g = snapshot.Find("conserve.gauge");
+  ASSERT_NE(g, nullptr);
+  EXPECT_GE(g->gauge, 100);
+  EXPECT_LT(g->gauge, 100 + kWriters);
 }
 
 TEST(MetricsStressTest, ConcurrentRegistrationAndUpdates) {

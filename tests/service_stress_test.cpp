@@ -82,7 +82,7 @@ TEST(ServiceStress, SchedulerSubmitCancelChurnConservesJobs) {
     submitters.emplace_back([&] {
       for (int i = 0; i < kJobsPerSubmitter; ++i) {
         const auto handle = scheduler.Submit(
-            [&executed](const mc::Atomic<bool>&) {
+            [&executed](const std::atomic<bool>&) {
               executed.fetch_add(1, std::memory_order_relaxed);
             },
             /*priority=*/i % 3);

@@ -224,7 +224,7 @@ TEST(JobScheduler, RunsEveryJobExactlyOnce) {
   std::vector<std::atomic<int>> runs(64);
   for (std::atomic<int>& count : runs) {
     scheduler.Submit(
-        [&count](const mc::Atomic<bool>&) { count.fetch_add(1); });
+        [&count](const std::atomic<bool>&) { count.fetch_add(1); });
   }
   scheduler.WaitIdle();
   for (const std::atomic<int>& count : runs) EXPECT_EQ(count.load(), 1);
@@ -240,7 +240,7 @@ TEST(JobScheduler, RunsEveryJobExactlyOnce) {
 // touches `started` only before this function can return.
 void HoldOneWorker(JobScheduler& scheduler, std::atomic<bool>& release) {
   std::atomic<bool> started{false};
-  scheduler.Submit([&started, &release](const mc::Atomic<bool>&) {
+  scheduler.Submit([&started, &release](const std::atomic<bool>&) {
     started.store(true);
     while (!release.load()) std::this_thread::yield();
   });
@@ -250,7 +250,7 @@ void HoldOneWorker(JobScheduler& scheduler, std::atomic<bool>& release) {
 // A job body that appends `tag` to `order`.
 JobScheduler::JobFn Record(std::mutex& order_mutex, std::vector<int>& order,
                            int tag) {
-  return [&order_mutex, &order, tag](const mc::Atomic<bool>&) {
+  return [&order_mutex, &order, tag](const std::atomic<bool>&) {
     std::lock_guard<std::mutex> lock(order_mutex);
     order.push_back(tag);
   };
@@ -300,7 +300,7 @@ TEST(JobScheduler, QueuedJobsRunOnAnIdleWorker) {
   std::atomic<int> finished{0};
   for (int i = 0; i < 4; ++i) {
     scheduler.Submit(
-        [&finished](const mc::Atomic<bool>&) { finished.fetch_add(1); });
+        [&finished](const std::atomic<bool>&) { finished.fetch_add(1); });
   }
   // The free worker must run all four while the other stays held; the
   // deadline turns a job stuck behind the blocker into a failure, not a
@@ -324,7 +324,7 @@ TEST(JobScheduler, CancelBeforeRunMeansNeverRuns) {
   HoldOneWorker(scheduler, release);
   std::atomic<bool> ran{false};
   const auto doomed = scheduler.Submit(
-      [&ran](const mc::Atomic<bool>&) { ran.store(true); });
+      [&ran](const std::atomic<bool>&) { ran.store(true); });
   EXPECT_TRUE(scheduler.Cancel(doomed));
   EXPECT_FALSE(scheduler.Cancel(doomed));  // already gone from the queue
   release.store(true);
@@ -340,7 +340,7 @@ TEST(JobScheduler, CancelWhileRunningSetsTheStopFlag) {
   JobScheduler scheduler(options);
   std::atomic<bool> started{false};
   const auto handle =
-      scheduler.Submit([&started](const mc::Atomic<bool>& stop) {
+      scheduler.Submit([&started](const std::atomic<bool>& stop) {
         started.store(true);
         while (!stop.load(std::memory_order_acquire)) {
           std::this_thread::yield();

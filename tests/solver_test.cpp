@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "sat/brute_force.h"
-#include "mc/shim.h"
 #include "sat/solver.h"
 #include "test_util.h"
 
@@ -188,7 +187,7 @@ TEST(SolverTest, DeadlineReturnsUnknown) {
 TEST(SolverTest, StopFlagAbortsSearch) {
   Solver solver;
   ASSERT_TRUE(solver.AddCnf(testutil::PigeonholeCnf(11)));
-  satfr::mc::Atomic<bool> stop{false};
+  std::atomic<bool> stop{false};
   std::thread stopper([&stop] {
     std::this_thread::sleep_for(std::chrono::milliseconds(30));
     stop.store(true);

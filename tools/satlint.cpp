@@ -10,9 +10,6 @@
 //   satlint report <file.jsonl>       lint a `satfr --report` run report
 //                                     (telemetry-consistency: observer
 //                                     totals vs solver-window stats)
-//   satlint sources <file...>         scan source files (mc-coverage: the
-//                                     lock-free layers must route atomics
-//                                     and mutexes through the mc:: shim)
 //
 // Options:
 //   --encoding NAME|all|evaluated
@@ -35,8 +32,6 @@
 // 2 = usage or I/O problem.
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <optional>
 #include <string>
 #include <utility>
@@ -75,13 +70,12 @@ struct LintOptions {
 
 [[noreturn]] void Usage() {
   std::fprintf(stderr,
-               "usage: satlint <passes|cnf|col|encode|report|sources>"
+               "usage: satlint <passes|cnf|col|encode|report>"
                " [args]\n"
                "  satlint cnf <file.cnf>\n"
                "  satlint col <file.col> [--width K]\n"
                "  satlint encode <benchmark> [--width K]\n"
                "  satlint report <file.jsonl>\n"
-               "  satlint sources <file...>\n"
                "options: --encoding NAME|all|evaluated  --sym b1|s1|none"
                "  --json  --grouped\n"
                "         --disable PASS  --severity PASS=info|warning|error\n"
@@ -314,26 +308,6 @@ int CmdReport(const LintOptions& opts) {
   return RunAndReport(MakeRunner(opts), input, opts, banner);
 }
 
-int CmdSources(const LintOptions& opts) {
-  if (opts.positional.empty()) Usage();
-  std::vector<analysis::SourceFile> sources;
-  for (const std::string& path : opts.positional) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "cannot read '%s'\n", path.c_str());
-      return 2;
-    }
-    std::ostringstream content;
-    content << in.rdbuf();
-    sources.push_back({path, content.str()});
-  }
-  analysis::AnalysisInput input;
-  input.sources = &sources;
-  const std::string banner =
-      std::to_string(sources.size()) + " source file(s)";
-  return RunAndReport(MakeRunner(opts), input, opts, banner);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -345,6 +319,5 @@ int main(int argc, char** argv) {
   if (command == "col") return CmdCol(opts);
   if (command == "encode") return CmdEncode(opts);
   if (command == "report") return CmdReport(opts);
-  if (command == "sources") return CmdSources(opts);
   Usage();
 }
