@@ -1,25 +1,17 @@
 #include "obs/metrics.h"
 
+#include <cassert>
+#include <cmath>
 #include <utility>
 
 namespace satfr::obs {
-
-namespace {
-
-std::uint64_t NextRegistryId() {
-  static std::atomic<std::uint64_t> next{1};
-  // relaxed: the id only needs to be unique; it orders nothing.
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
 
 std::uint64_t MetricSnapshot::ApproxPercentile(double p) const {
   if (count == 0 || buckets.empty()) return 0;
   if (p < 0.0) p = 0.0;
   if (p > 1.0) p = 1.0;
   std::uint64_t rank =
-      static_cast<std::uint64_t>(p * static_cast<double>(count) + 0.5);
+      static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(count)));
   if (rank < 1) rank = 1;
   if (rank > count) rank = count;
   std::uint64_t seen = 0;
@@ -49,9 +41,6 @@ JsonValue MetricsSnapshot::ToJson() const {
       case MetricKind::kCounter:
         out.emplace_back(m.name, JsonValue(m.value));
         break;
-      case MetricKind::kGauge:
-        out.emplace_back(m.name, JsonValue(m.gauge));
-        break;
       case MetricKind::kHistogram: {
         JsonArray buckets;
         buckets.reserve(m.buckets.size());
@@ -67,10 +56,6 @@ JsonValue MetricsSnapshot::ToJson() const {
   return JsonValue(std::move(out));
 }
 
-MetricsRegistry::MetricsRegistry() : id_(NextRegistryId()) {}
-
-MetricsRegistry::~MetricsRegistry() = default;
-
 MetricId MetricsRegistry::Register(const std::string& name, MetricKind kind,
                                    std::uint32_t slots_needed) {
   mc::MutexLock lock(mutex_);
@@ -82,14 +67,8 @@ MetricId MetricsRegistry::Register(const std::string& name, MetricKind kind,
       return MetricId{e.first_slot};
     }
   }
-  // A gauge already owns this name: aliasing it would emit the key twice
-  // in the snapshot JSON.
-  for (const std::string& gauge : gauge_names_) {
-    if (gauge == name) return MetricId{};
-  }
-  if (next_slot_ + slots_needed > kShardSlots) return MetricId{};
-  const std::uint32_t slot = next_slot_;
-  next_slot_ += slots_needed;
+  const auto slot = static_cast<std::uint32_t>(slots_.size());
+  slots_.resize(slots_.size() + slots_needed, 0);
   entries_.push_back(Entry{name, kind, slot});
   return MetricId{slot};
 }
@@ -102,108 +81,34 @@ MetricId MetricsRegistry::Histogram(const std::string& name) {
   return Register(name, MetricKind::kHistogram, kHistogramBuckets);
 }
 
-MetricId MetricsRegistry::Gauge(const std::string& name) {
-  mc::MutexLock lock(mutex_);
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    if (gauge_names_[i] == name) {
-      return MetricId{static_cast<std::uint32_t>(i) | MetricId::kGaugeBit};
-    }
-  }
-  // Kind clash with a counter/histogram of the same name: invalid, same as
-  // Register's check in the other direction.
-  for (const Entry& e : entries_) {
-    if (e.name == name) return MetricId{};
-  }
-  gauge_names_.push_back(name);
-  gauges_.emplace_back(0);
-  return MetricId{static_cast<std::uint32_t>(gauge_names_.size() - 1) |
-                  MetricId::kGaugeBit};
-}
-
-MetricsRegistry::Shard* MetricsRegistry::ShardForThisThread() {
-  struct Cached {
-    std::uint64_t registry_id;
-    Shard* shard;
-  };
-  // A thread touches few registries (the global one, plus per-test ones);
-  // linear scan over a short vector beats any map. Registry ids are never
-  // reused, so an entry for a destroyed registry simply never matches
-  // again. FIFO-capped so pathological create/destroy loops cannot grow it
-  // without bound — evicting a live entry only costs one extra shard.
-  thread_local std::vector<Cached> cache;
-  for (const Cached& c : cache) {
-    if (c.registry_id == id_) return c.shard;
-  }
-  Shard* shard = nullptr;
-  {
-    mc::MutexLock lock(mutex_);
-    shards_.push_back(std::make_unique<Shard>());
-    shard = shards_.back().get();
-  }
-  if (cache.size() >= 16) cache.erase(cache.begin());
-  cache.push_back(Cached{id_, shard});
-  return shard;
-}
-
 void MetricsRegistry::Add(MetricId id, std::uint64_t delta) {
-  if (!id.valid() || (id.slot & MetricId::kGaugeBit) != 0) return;
-  // relaxed: the slot is this thread's private tally; readers fold it at
-  // quiescent points (Snapshot after join, or as a statistical reading).
-  ShardForThisThread()->slots[id.slot].fetch_add(delta,
-                                                 std::memory_order_relaxed);
+  if (!id.valid()) return;
+  mc::MutexLock lock(mutex_);
+  assert(id.slot < slots_.size());
+  slots_[id.slot] += delta;
 }
 
 void MetricsRegistry::Observe(MetricId id, std::uint64_t value) {
-  if (!id.valid() || (id.slot & MetricId::kGaugeBit) != 0) return;
-  const std::uint32_t slot = id.slot + BucketFor(value);
-  // relaxed: same single-writer tally argument as Add.
-  ShardForThisThread()->slots[slot].fetch_add(1, std::memory_order_relaxed);
-}
-
-void MetricsRegistry::SetGauge(MetricId id, std::int64_t value) {
-  if (!id.valid() || (id.slot & MetricId::kGaugeBit) == 0) return;
-  const std::uint32_t index = id.slot & ~MetricId::kGaugeBit;
+  if (!id.valid()) return;
   mc::MutexLock lock(mutex_);
-  if (index < gauges_.size()) {
-    // relaxed: the mutex already orders racing setters (last unlock wins);
-    // lock-free snapshot readers only need *a* recent level, not ordering.
-    gauges_[index].store(value, std::memory_order_relaxed);
-  }
+  assert(id.slot + kHistogramBuckets <= slots_.size());
+  ++slots_[id.slot + BucketFor(value)];
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   MetricsSnapshot snapshot;
-  // All loads below are relaxed: a snapshot is a statistical reading, not
-  // a synchronization point. Exactness is only promised at quiescent
-  // points (writers joined), where happens-before already forces fresh
-  // values — verified by the McMetricsLitmus conservation litmus.
   mc::MutexLock lock(mutex_);
   for (const Entry& e : entries_) {
     MetricSnapshot m;
     m.name = e.name;
     m.kind = e.kind;
     if (e.kind == MetricKind::kHistogram) {
-      m.buckets.assign(kHistogramBuckets, 0);
-      for (const auto& shard : shards_) {
-        for (std::uint32_t b = 0; b < kHistogramBuckets; ++b) {
-          m.buckets[b] += shard->slots[e.first_slot + b].load(
-              std::memory_order_relaxed);
-        }
-      }
+      const auto first = slots_.begin() + e.first_slot;
+      m.buckets.assign(first, first + kHistogramBuckets);
       for (const std::uint64_t b : m.buckets) m.count += b;
     } else {
-      for (const auto& shard : shards_) {
-        m.value +=
-            shard->slots[e.first_slot].load(std::memory_order_relaxed);
-      }
+      m.value = slots_[e.first_slot];
     }
-    snapshot.metrics.push_back(std::move(m));
-  }
-  for (std::size_t i = 0; i < gauge_names_.size(); ++i) {
-    MetricSnapshot m;
-    m.name = gauge_names_[i];
-    m.kind = MetricKind::kGauge;
-    m.gauge = gauges_[i].load(std::memory_order_relaxed);
     snapshot.metrics.push_back(std::move(m));
   }
   return snapshot;

@@ -1,29 +1,22 @@
-// Process-wide metrics registry: named counters, gauges, and log-bucketed
-// histograms with per-thread sharded updates.
+// Process-wide metrics registry: named counters and log-bucketed
+// histograms.
 //
-// Hot-path contract: Add/Observe take NO lock and touch NO shared cache
-// line. Each thread owns a shard — a flat array of relaxed atomics, one slot
-// per counter and one per histogram bucket — reached through a thread_local
-// cache keyed by the registry's unique id. The registry mutex is taken only
-// on the cold paths: metric registration, first touch of a registry by a
-// thread (shard creation), and Snapshot (which sums the slot across every
-// shard; relaxed loads are fine because a snapshot is a statistical reading,
-// not a synchronization point).
+// One table of plain 64-bit slots — one per counter, kHistogramBuckets per
+// histogram — guarded by the registry's mutex. Add, Observe, registration
+// and Snapshot all take that lock. Updates arrive at request rate (a few
+// per service request or session delta, one per width solve; the solver
+// observer's per-restart updates only while a trace or report sink is
+// installed), far below the point where a contended mutex shows, so the
+// table is neither sharded nor lock-free. Registration appends slots, so
+// the table has no fixed capacity.
 //
 // Histograms are log2-bucketed: bucket 0 holds the value 0, bucket i >= 1
 // holds [2^(i-1), 2^i); values past the last boundary clamp into the final
-// bucket. Merging per-thread histograms is bucket-wise addition, which is
-// exactly what Snapshot does.
-//
-// Gauges are last-write-wins process-level atomics (a gauge is a level, not
-// a flow — sharded summation would be meaningless for it).
+// bucket.
 #pragma once
 
-#include <atomic>
 #include <bit>
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -33,24 +26,20 @@
 
 namespace satfr::obs {
 
-/// Handle for hot-path updates. Cheap to copy; invalid handles (default
+/// Handle for updates. Cheap to copy; invalid handles (default
 /// constructed) are safely ignored by Add/Observe.
 struct MetricId {
   static constexpr std::uint32_t kInvalidSlot = 0xFFFFFFFFu;
-  // Gauge ids carry this bit: they index the registry-level gauge table,
-  // not a shard slot.
-  static constexpr std::uint32_t kGaugeBit = 0x80000000u;
   std::uint32_t slot = kInvalidSlot;
   bool valid() const { return slot != kInvalidSlot; }
 };
 
-enum class MetricKind { kCounter, kGauge, kHistogram };
+enum class MetricKind { kCounter, kHistogram };
 
 struct MetricSnapshot {
   std::string name;
   MetricKind kind = MetricKind::kCounter;
   std::uint64_t value = 0;              // counters
-  std::int64_t gauge = 0;               // gauges
   std::vector<std::uint64_t> buckets;   // histograms (log2 buckets)
   std::uint64_t count = 0;              // histogram total observations
 
@@ -79,31 +68,21 @@ class MetricsRegistry {
   /// = [2^(i-1), 2^i), with everything >= 2^32 clamped into bucket 32.
   static constexpr std::uint32_t kHistogramBuckets = 33;
 
-  /// Fixed shard capacity in slots. Registration past this returns an
-  /// invalid id (updates on it are dropped) rather than resizing live
-  /// shards under concurrent writers.
-  static constexpr std::uint32_t kShardSlots = 1024;
-
-  MetricsRegistry();
-  ~MetricsRegistry();
+  MetricsRegistry() = default;
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Registers (or finds — same name returns the same id) a metric.
   MetricId Counter(const std::string& name);
-  MetricId Gauge(const std::string& name);
   MetricId Histogram(const std::string& name);
 
-  /// Hot path: adds `delta` to a counter. Lock-free, relaxed.
+  /// Adds `delta` to a counter registered with this registry.
   void Add(MetricId id, std::uint64_t delta = 1);
 
-  /// Hot path: records one histogram observation. Lock-free, relaxed.
+  /// Records one observation in a histogram registered with this registry.
   void Observe(MetricId id, std::uint64_t value);
 
-  /// Sets a gauge (process-level, last write wins).
-  void SetGauge(MetricId id, std::int64_t value);
-
-  /// Sums every shard into a point-in-time reading.
+  /// Every metric, in registration order, as of one instant.
   MetricsSnapshot Snapshot() const;
 
   /// The log2 bucket index for `value` (exposed for the bucket tests).
@@ -119,36 +98,18 @@ class MetricsRegistry {
   }
 
  private:
-  struct Shard {
-    // relaxed everywhere: slots are statistics, each written by one thread
-    // and only folded together under the registry mutex in Snapshot.
-    std::atomic<std::uint64_t> slots[kShardSlots];
-    Shard() {
-      for (auto& s : slots) s.store(0, std::memory_order_relaxed);
-    }
-  };
-
   struct Entry {
     std::string name;
     MetricKind kind;
     std::uint32_t first_slot;  // histograms span kHistogramBuckets slots
   };
 
-  Shard* ShardForThisThread() SATFR_EXCLUDES(mutex_);
   MetricId Register(const std::string& name, MetricKind kind,
                     std::uint32_t slots_needed) SATFR_EXCLUDES(mutex_);
 
-  const std::uint64_t id_;  // process-unique, never reused
   mutable mc::Mutex mutex_;
   std::vector<Entry> entries_ SATFR_GUARDED_BY(mutex_);
-  // deque: gauges are registered while other threads store through stable
-  // references, and deque growth never relocates existing elements. The
-  // container is guarded; the atomics inside are written under the mutex
-  // but may be read lock-free through stable references.
-  std::deque<std::atomic<std::int64_t>> gauges_ SATFR_GUARDED_BY(mutex_);
-  std::vector<std::string> gauge_names_ SATFR_GUARDED_BY(mutex_);
-  std::vector<std::unique_ptr<Shard>> shards_ SATFR_GUARDED_BY(mutex_);
-  std::uint32_t next_slot_ SATFR_GUARDED_BY(mutex_) = 0;
+  std::vector<std::uint64_t> slots_ SATFR_GUARDED_BY(mutex_);
 };
 
 /// The process-wide registry all subsystems share. Always available;

@@ -10,11 +10,10 @@
 // swimlane per worker.
 //
 // Event frequency is coarse by design — per route stage, per restart window,
-// per cube — so a single mutex-protected buffer is the right tradeoff; the
-// lock-free machinery lives in MetricsRegistry where updates are per-event
-// hot. Disabled tracing costs one null check: every emission site goes
-// through a nullable TraceWriter* (see GlobalTrace) and the RAII TraceSpan
-// no-ops on null.
+// per cube — so a single mutex-protected buffer is the right tradeoff, as
+// it is for MetricsRegistry. Disabled tracing costs one null check: every
+// emission site goes through a nullable TraceWriter* (see GlobalTrace) and
+// the RAII TraceSpan no-ops on null.
 #pragma once
 
 #include <cstdint>

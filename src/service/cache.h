@@ -9,12 +9,14 @@
 // `service-cache-coherence` satlint pass can re-solve sampled entries fresh
 // and compare.
 //
-// The cache is a sharded bounded LRU map: shard = key-hash % num_shards,
-// each shard one `mc::Mutex` around an intrusive LRU list + hash index,
-// bounded by entries AND approximate heap bytes. The graph's 64-bit
-// fingerprint only hashes a key; a hit needs full key equality, which
+// The cache is one bounded LRU map under one `mc::Mutex`: an LRU list plus
+// a hash index keyed by the whole CacheKey, bounded by entries AND
+// approximate heap bytes. It sees one lookup per service request, so a
+// single lock is enough (DESIGN.md §15). The graph's 64-bit fingerprint
+// only hashes a key; the index compares keys with operator==, which
 // compares the graph itself (same pointer, or structurally equal), so two
-// graphs that share a fingerprint never share an answer.
+// graphs that share a fingerprint never share an answer, and two keys whose
+// hashes collide are both cached.
 #ifndef SATFR_SERVICE_CACHE_H_
 #define SATFR_SERVICE_CACHE_H_
 
@@ -64,7 +66,8 @@ struct CacheKey {
     h = h * 1099511628211ULL ^ StableHash64(solver);
     h = h * 1099511628211ULL ^ fingerprint;
     h = h * 1099511628211ULL ^ static_cast<std::uint64_t>(width);
-    // Final avalanche so shard selection (low bits) mixes the width too.
+    // Final avalanche so the index's bucket choice (low bits) mixes the
+    // width too.
     h ^= h >> 33;
     h *= 0xff51afd7ed558ccdULL;
     h ^= h >> 33;
@@ -84,16 +87,15 @@ struct CacheTierStats {
 };
 
 struct CacheTierOptions {
-  std::size_t num_shards = 8;
-  std::size_t max_entries_per_shard = 64;
-  std::size_t max_bytes_per_shard = 64u << 20;  // 64 MiB
+  std::size_t max_entries = 2048;
+  std::size_t max_bytes = 64u << 20;  // 64 MiB
 };
 
-/// Sharded bounded LRU map from CacheKey to shared_ptr<const V>. V is
-/// immutable once inserted; eviction only drops the cache's reference, so
-/// in-flight readers keep their snapshot alive.
+/// Bounded LRU map from CacheKey to shared_ptr<const V>. V is immutable
+/// once inserted; eviction only drops the cache's reference, so in-flight
+/// readers keep their snapshot alive.
 template <typename V>
-class ShardedLruCache {
+class LruCache {
  public:
   struct SampledEntry {
     CacheKey key;
@@ -101,107 +103,86 @@ class ShardedLruCache {
     std::uint64_t hits = 0;
   };
 
-  explicit ShardedLruCache(const CacheTierOptions& options = {})
-      : options_(options),
-        shards_(options.num_shards == 0 ? 1 : options.num_shards) {}
+  explicit LruCache(const CacheTierOptions& options = {})
+      : options_(options) {}
 
-  ShardedLruCache(const ShardedLruCache&) = delete;
-  ShardedLruCache& operator=(const ShardedLruCache&) = delete;
+  LruCache(const LruCache&) = delete;
+  LruCache& operator=(const LruCache&) = delete;
 
   /// Returns the cached value (promoting it to most-recently-used) or null.
   /// `hits_out`, when non-null, receives the entry's post-increment hit
   /// count on a hit.
   std::shared_ptr<const V> Lookup(const CacheKey& key,
                                   std::uint64_t* hits_out = nullptr) {
-    const std::uint64_t h = key.Hash();
-    Shard& shard = ShardFor(h);
-    mc::MutexLock lock(shard.mutex);
-    ++shard.stats.lookups;
-    auto it = shard.index.find(h);
-    // Hash collisions across distinct keys fall through to a miss; the
-    // colliding resident stays (first writer wins the 64-bit slot).
-    if (it == shard.index.end() || !(it->second->key == key)) {
-      return nullptr;
-    }
+    mc::MutexLock lock(mutex_);
+    ++stats_.lookups;
+    auto it = index_.find(key);
+    if (it == index_.end()) return nullptr;
     Entry& entry = *it->second;
     ++entry.hit_count;
-    ++shard.stats.hits;
+    ++stats_.hits;
     if (hits_out != nullptr) *hits_out = entry.hit_count;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return entry.value;
   }
 
   /// Inserts (or refreshes) `key`; `bytes` is the entry's approximate heap
   /// footprint for the byte bound. Evicts least-recently-used entries
-  /// until both shard bounds hold.
+  /// until both bounds hold.
   void Insert(const CacheKey& key, std::shared_ptr<const V> value,
               std::size_t bytes) {
-    const std::uint64_t h = key.Hash();
-    Shard& shard = ShardFor(h);
-    mc::MutexLock lock(shard.mutex);
-    auto it = shard.index.find(h);
-    if (it != shard.index.end()) {
-      // A distinct key with the same 64-bit hash is resident: first writer
-      // wins the slot, so the resident key keeps its own value.
-      if (!(it->second->key == key)) return;
+    mc::MutexLock lock(mutex_);
+    auto it = index_.find(key);
+    if (it != index_.end()) {
       // Refresh in place (idempotent re-insert after a racing miss).
-      shard.bytes -= it->second->bytes;
+      bytes_ -= it->second->bytes;
       it->second->value = std::move(value);
       it->second->bytes = bytes;
-      shard.bytes += bytes;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+      bytes_ += bytes;
+      lru_.splice(lru_.begin(), lru_, it->second);
       return;
     }
-    shard.lru.push_front(Entry{key, std::move(value), bytes, 0});
-    shard.index.emplace(h, shard.lru.begin());
-    shard.bytes += bytes;
-    ++shard.stats.insertions;
-    while (shard.lru.size() > options_.max_entries_per_shard ||
-           (shard.bytes > options_.max_bytes_per_shard &&
-            shard.lru.size() > 1)) {
-      const Entry& victim = shard.lru.back();
-      shard.bytes -= victim.bytes;
-      shard.index.erase(victim.key.Hash());
-      shard.lru.pop_back();
-      ++shard.stats.evictions;
+    lru_.push_front(Entry{key, std::move(value), bytes, 0});
+    index_.emplace(key, lru_.begin());
+    bytes_ += bytes;
+    ++stats_.insertions;
+    while (lru_.size() > options_.max_entries ||
+           (bytes_ > options_.max_bytes && lru_.size() > 1)) {
+      const Entry& victim = lru_.back();
+      bytes_ -= victim.bytes;
+      index_.erase(victim.key);
+      lru_.pop_back();
+      ++stats_.evictions;
     }
   }
 
   bool Erase(const CacheKey& key) {
-    const std::uint64_t h = key.Hash();
-    Shard& shard = ShardFor(h);
-    mc::MutexLock lock(shard.mutex);
-    auto it = shard.index.find(h);
-    if (it == shard.index.end() || !(it->second->key == key)) return false;
-    shard.bytes -= it->second->bytes;
-    shard.lru.erase(it->second);
-    shard.index.erase(it);
+    mc::MutexLock lock(mutex_);
+    auto it = index_.find(key);
+    if (it == index_.end()) return false;
+    bytes_ -= it->second->bytes;
+    lru_.erase(it->second);
+    index_.erase(it);
     return true;
   }
 
-  /// Point-in-time totals over every shard.
+  /// Point-in-time totals.
   CacheTierStats stats() const {
-    CacheTierStats total;
-    for (const Shard& shard : shards_) {
-      mc::MutexLock lock(shard.mutex);
-      total.lookups += shard.stats.lookups;
-      total.hits += shard.stats.hits;
-      total.insertions += shard.stats.insertions;
-      total.evictions += shard.stats.evictions;
-      total.entries += shard.lru.size();
-      total.bytes += shard.bytes;
-    }
+    mc::MutexLock lock(mutex_);
+    CacheTierStats total = stats_;
+    total.entries = lru_.size();
+    total.bytes = bytes_;
     return total;
   }
 
   /// Up to `max_samples` resident entries, deterministically pseudo-random
-  /// in `seed` (coherence lint sampling). Holds one shard lock at a time.
+  /// in `seed` (coherence lint sampling).
   std::vector<SampledEntry> Sample(std::size_t max_samples,
                                    std::uint64_t seed) const {
     std::vector<SampledEntry> all;
-    for (const Shard& shard : shards_) {
-      mc::MutexLock lock(shard.mutex);
-      for (const Entry& entry : shard.lru) {
+    {
+      mc::MutexLock lock(mutex_);
+      for (const Entry& entry : lru_) {
         all.push_back(SampledEntry{entry.key, entry.value, entry.hit_count});
       }
     }
@@ -226,26 +207,19 @@ class ShardedLruCache {
     std::uint64_t hit_count = 0;
   };
 
-  struct Shard {
-    mutable mc::Mutex mutex;
-    std::list<Entry> lru SATFR_GUARDED_BY(mutex);
-    std::unordered_map<std::uint64_t, typename std::list<Entry>::iterator>
-        index SATFR_GUARDED_BY(mutex);
-    std::size_t bytes SATFR_GUARDED_BY(mutex) = 0;
-    CacheTierStats stats SATFR_GUARDED_BY(mutex);
+  struct KeyHash {
+    std::size_t operator()(const CacheKey& key) const {
+      return static_cast<std::size_t>(key.Hash());
+    }
   };
 
-  Shard& ShardFor(std::uint64_t hash) {
-    return shards_[static_cast<std::size_t>(hash % shards_.size())];
-  }
-  const Shard& ShardFor(std::uint64_t hash) const {
-    return shards_[static_cast<std::size_t>(hash % shards_.size())];
-  }
-
   const CacheTierOptions options_;
-  // Count fixed at construction, never resized: shard addresses stay
-  // stable even though Shard itself is neither movable nor copyable.
-  mutable std::vector<Shard> shards_;
+  mutable mc::Mutex mutex_;
+  std::list<Entry> lru_ SATFR_GUARDED_BY(mutex_);
+  std::unordered_map<CacheKey, typename std::list<Entry>::iterator, KeyHash>
+      index_ SATFR_GUARDED_BY(mutex_);
+  std::size_t bytes_ SATFR_GUARDED_BY(mutex_) = 0;
+  CacheTierStats stats_ SATFR_GUARDED_BY(mutex_);
 };
 
 }  // namespace satfr::service

@@ -4,7 +4,7 @@
 //
 // Request path:
 //
-//   1. Verdict-cache hit (one shard mutex) — answers any repeat query.
+//   1. Verdict-cache hit (the cache's one mutex) — answers any repeat query.
 //   2. Miss — flow::RouteDetailedOnGraph streams the encoder straight into
 //      a fresh solver (no intermediate Cnf is built or kept), solves, and
 //      the verdict is inserted.
@@ -58,9 +58,7 @@ namespace satfr::service {
 
 struct ServiceOptions {
   SchedulerOptions scheduler;
-  CacheTierOptions verdict_cache{/*num_shards=*/8,
-                                 /*max_entries_per_shard=*/256,
-                                 /*max_bytes_per_shard=*/8u << 20};
+  CacheTierOptions verdict_cache;
   bool cache_verdicts = true;
   /// Accepted and ignored: there is no instance tier, every miss streams
   /// its encoding into the solver. Stays only because perfbench's
@@ -249,7 +247,7 @@ class RoutingService {
   void ExecuteSessionOp(Session& session, const SessionOp& op);
 
   const ServiceOptions options_;
-  ShardedLruCache<VerdictEntry> verdicts_;
+  LruCache<VerdictEntry> verdicts_;
 
   // Guards the ticket table and every ticket's `settled` flag;
   // settled_cv_ is notified under it whenever a ticket settles.

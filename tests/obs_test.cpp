@@ -109,14 +109,51 @@ TEST(MetricsTest, RegistrationIsIdempotentAndKindChecked) {
   EXPECT_EQ(a.slot, b.slot);
   // Same name, different kind: rejected rather than aliased.
   EXPECT_FALSE(registry.Histogram("hits").valid());
-  EXPECT_FALSE(registry.Gauge("hits").valid());
 }
 
-TEST(MetricsTest, MergesShardsAcrossThreads) {
+TEST(MetricsTest, RegistrationHasNoCap) {
+  // 40 histograms take 40 x 33 = 1320 slots; every one must register and
+  // keep its observation.
+  MetricsRegistry registry;
+  constexpr int kHistograms = 40;
+  for (int i = 0; i < kHistograms; ++i) {
+    const MetricId id = registry.Histogram("h" + std::to_string(i));
+    ASSERT_TRUE(id.valid()) << "histogram " << i;
+    registry.Observe(id, static_cast<std::uint64_t>(i));
+  }
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(snapshot.metrics.size(), static_cast<std::size_t>(kHistograms));
+  for (int i = 0; i < kHistograms; ++i) {
+    const MetricSnapshot* h = snapshot.Find("h" + std::to_string(i));
+    ASSERT_NE(h, nullptr) << "histogram " << i;
+    EXPECT_EQ(h->count, 1u) << "histogram " << i;
+    EXPECT_EQ(h->buckets[MetricsRegistry::BucketFor(
+                  static_cast<std::uint64_t>(i))],
+              1u)
+        << "histogram " << i;
+  }
+}
+
+TEST(MetricsTest, ApproxPercentileReadsTheCeilingRank) {
+  // 14 observations in bucket 1 and 2 in bucket 5: the 90th percentile is
+  // the ceil(0.9 * 16) = 15th observation, which lies in bucket 5, whose
+  // inclusive upper bound is 2^5 - 1.
+  MetricSnapshot m;
+  m.kind = MetricKind::kHistogram;
+  m.buckets.assign(MetricsRegistry::kHistogramBuckets, 0);
+  m.buckets[1] = 14;
+  m.buckets[5] = 2;
+  m.count = 16;
+  EXPECT_EQ(m.ApproxPercentile(0.9), 31u);
+  EXPECT_EQ(m.ApproxPercentile(0.5), 1u);
+  EXPECT_EQ(m.ApproxPercentile(0.875), 1u);  // rank 14 exactly
+  EXPECT_EQ(m.ApproxPercentile(1.0), 31u);
+}
+
+TEST(MetricsTest, MergesUpdatesAcrossThreads) {
   MetricsRegistry registry;
   const MetricId counter = registry.Counter("work");
   const MetricId histogram = registry.Histogram("latency");
-  const MetricId gauge = registry.Gauge("level");
   constexpr int kThreads = 4;
   constexpr int kPerThread = 1000;
   std::vector<std::thread> threads;
@@ -131,7 +168,6 @@ TEST(MetricsTest, MergesShardsAcrossThreads) {
     });
   }
   for (std::thread& t : threads) t.join();
-  registry.SetGauge(gauge, -5);
 
   const MetricsSnapshot snapshot = registry.Snapshot();
   const MetricSnapshot* work = snapshot.Find("work");
@@ -146,16 +182,12 @@ TEST(MetricsTest, MergesShardsAcrossThreads) {
               static_cast<std::uint64_t>(kPerThread))
         << "bucket " << t + 1;
   }
-  const MetricSnapshot* level = snapshot.Find("level");
-  ASSERT_NE(level, nullptr);
-  EXPECT_EQ(level->gauge, -5);
 }
 
 TEST(MetricsTest, InvalidIdsAreIgnored) {
   MetricsRegistry registry;
-  registry.Add(MetricId{});          // must not crash
-  registry.Observe(MetricId{}, 7);   // must not crash
-  registry.SetGauge(MetricId{}, 7);  // must not crash
+  registry.Add(MetricId{});         // must not crash
+  registry.Observe(MetricId{}, 7);  // must not crash
   EXPECT_TRUE(registry.Snapshot().metrics.empty());
 }
 

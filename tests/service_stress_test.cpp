@@ -1,5 +1,5 @@
 // Thread-sanitizer stress for the service concurrency surfaces: the
-// sharded LRU cache under concurrent lookup/insert/erase with bounds tight
+// LRU cache under concurrent lookup/insert/erase with bounds tight
 // enough to force constant eviction, and the scheduler under concurrent
 // submit/cancel churn. Invariants checked are conservation laws (stats
 // balance, exactly-once execution) — the interesting failures here are the
@@ -26,12 +26,12 @@ CacheKey KeyFor(int i) {
                   "s", ""};
 }
 
-TEST(ServiceStress, ShardedCacheSurvivesConcurrentChurn) {
-  // 2 shards x 4 entries with a byte bound that also bites: every inserter
-  // is constantly evicting what another thread is looking up.
-  CacheTierOptions options{/*num_shards=*/2, /*max_entries_per_shard=*/4,
-                           /*max_bytes_per_shard=*/64};
-  ShardedLruCache<int> cache(options);
+TEST(ServiceStress, CacheSurvivesConcurrentChurn) {
+  // 8 entries with a byte bound that also bites (entries of 8, 16 or 24
+  // bytes): every inserter is constantly evicting what another thread is
+  // looking up.
+  CacheTierOptions options{/*max_entries=*/8, /*max_bytes=*/128};
+  LruCache<int> cache(options);
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 3000;
   constexpr int kKeys = 24;
@@ -43,7 +43,8 @@ TEST(ServiceStress, ShardedCacheSurvivesConcurrentChurn) {
         const int k = (i * (t + 1)) % kKeys;
         switch ((i + t) % 4) {
           case 0:
-            cache.Insert(KeyFor(k), std::make_shared<const int>(k), 16);
+            cache.Insert(KeyFor(k), std::make_shared<const int>(k),
+                         8 + 8 * static_cast<std::size_t>(k % 3));
             break;
           case 1:
           case 2: {
@@ -111,7 +112,7 @@ TEST(ServiceStress, ServiceFrontDoorUnderConcurrentClients) {
   // it; the request mix repeats enough for real cache traffic.
   ServiceOptions options;
   options.scheduler.num_workers = 2;
-  options.verdict_cache = CacheTierOptions{2, 2, 1u << 20};
+  options.verdict_cache = CacheTierOptions{4, 1u << 20};
   RoutingService svc(options);
 
   graph::Graph triangle(3);

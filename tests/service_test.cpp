@@ -87,16 +87,15 @@ TEST(CacheKey, ToStringNamesTheInstance) {
   EXPECT_NE(s.find("siege"), std::string::npos) << s;
 }
 
-// --- sharded LRU -----------------------------------------------------------
+// --- LRU -------------------------------------------------------------------
 
 CacheKey KeyW(int width) {
   return CacheKey{nullptr, 99, width, "e", "s", ""};
 }
 
-TEST(ShardedLruCache, LookupPromotesAndCountsHits) {
-  CacheTierOptions options{/*num_shards=*/1, /*max_entries_per_shard=*/4,
-                           /*max_bytes_per_shard=*/1u << 20};
-  ShardedLruCache<int> cache(options);
+TEST(LruCache, LookupPromotesAndCountsHits) {
+  CacheTierOptions options{/*max_entries=*/4, /*max_bytes=*/1u << 20};
+  LruCache<int> cache(options);
   EXPECT_EQ(cache.Lookup(KeyW(1)), nullptr);
   cache.Insert(KeyW(1), std::make_shared<const int>(10), 8);
   std::uint64_t hits = 0;
@@ -115,9 +114,9 @@ TEST(ShardedLruCache, LookupPromotesAndCountsHits) {
   EXPECT_EQ(stats.bytes, 8u);
 }
 
-TEST(ShardedLruCache, EvictsLeastRecentlyUsedOnEntryBound) {
-  CacheTierOptions options{1, /*max_entries_per_shard=*/2, 1u << 20};
-  ShardedLruCache<int> cache(options);
+TEST(LruCache, EvictsLeastRecentlyUsedOnEntryBound) {
+  CacheTierOptions options{/*max_entries=*/2, 1u << 20};
+  LruCache<int> cache(options);
   cache.Insert(KeyW(1), std::make_shared<const int>(1), 1);
   cache.Insert(KeyW(2), std::make_shared<const int>(2), 1);
   cache.Lookup(KeyW(1));  // promote 1; 2 becomes the LRU victim
@@ -128,24 +127,23 @@ TEST(ShardedLruCache, EvictsLeastRecentlyUsedOnEntryBound) {
   EXPECT_EQ(cache.stats().evictions, 1u);
 }
 
-TEST(ShardedLruCache, EvictsOnByteBoundButKeepsOneEntry) {
-  CacheTierOptions options{1, /*max_entries_per_shard=*/8,
-                           /*max_bytes_per_shard=*/100};
-  ShardedLruCache<int> cache(options);
+TEST(LruCache, EvictsOnByteBoundButKeepsOneEntry) {
+  CacheTierOptions options{/*max_entries=*/8, /*max_bytes=*/100};
+  LruCache<int> cache(options);
   cache.Insert(KeyW(1), std::make_shared<const int>(1), 60);
   cache.Insert(KeyW(2), std::make_shared<const int>(2), 60);  // 120 > 100
   EXPECT_EQ(cache.Lookup(KeyW(1)), nullptr);
   EXPECT_NE(cache.Lookup(KeyW(2)), nullptr);
 
   // A single oversized entry stays resident: the bound never empties the
-  // shard below one entry.
+  // cache below one entry.
   cache.Insert(KeyW(3), std::make_shared<const int>(3), 500);
   EXPECT_NE(cache.Lookup(KeyW(3)), nullptr);
   EXPECT_EQ(cache.stats().entries, 1u);
 }
 
-TEST(ShardedLruCache, RefreshInPlaceAndErase) {
-  ShardedLruCache<int> cache(CacheTierOptions{1, 4, 1u << 20});
+TEST(LruCache, RefreshInPlaceAndErase) {
+  LruCache<int> cache(CacheTierOptions{4, 1u << 20});
   cache.Insert(KeyW(1), std::make_shared<const int>(1), 10);
   cache.Insert(KeyW(1), std::make_shared<const int>(7), 20);
   const auto v = cache.Lookup(KeyW(1));
@@ -160,8 +158,8 @@ TEST(ShardedLruCache, RefreshInPlaceAndErase) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
-TEST(ShardedLruCache, SampleIsDeterministicAndBounded) {
-  ShardedLruCache<int> cache(CacheTierOptions{4, 16, 1u << 20});
+TEST(LruCache, SampleIsDeterministicAndBounded) {
+  LruCache<int> cache(CacheTierOptions{16, 1u << 20});
   for (int i = 0; i < 12; ++i) {
     cache.Insert(KeyW(i), std::make_shared<const int>(i), 1);
   }
@@ -175,10 +173,10 @@ TEST(ShardedLruCache, SampleIsDeterministicAndBounded) {
   EXPECT_EQ(cache.Sample(100, 7).size(), 12u);
 }
 
-TEST(ShardedLruCache, DistinctGraphsUnderOneFingerprintNeverAlias) {
+TEST(LruCache, DistinctGraphsUnderOneFingerprintNeverAlias) {
   // A forged shared fingerprint: the triangle at W=2 is UNSAT, the
   // edgeless graph at W=2 is SAT, so an alias would be a wrong answer.
-  ShardedLruCache<int> cache(CacheTierOptions{1, 4, 1u << 20});
+  LruCache<int> cache(CacheTierOptions{4, 1u << 20});
   const auto triangle = std::make_shared<const graph::Graph>(Triangle());
   const auto edgeless = std::make_shared<const graph::Graph>(3);
   const CacheKey cached{triangle, 7, 2, "e", "s", ""};
@@ -188,17 +186,27 @@ TEST(ShardedLruCache, DistinctGraphsUnderOneFingerprintNeverAlias) {
 
   cache.Insert(cached, std::make_shared<const int>(1), 1);
   EXPECT_EQ(cache.Lookup(probe), nullptr);
-  // The colliding insert leaves the resident answer alone.
+  // The colliding key is cached beside the resident: each lookup returns
+  // its own answer.
   cache.Insert(probe, std::make_shared<const int>(2), 1);
-  EXPECT_EQ(cache.Lookup(probe), nullptr);
+  EXPECT_EQ(cache.stats().entries, 2u);
   const auto resident = cache.Lookup(cached);
   ASSERT_NE(resident, nullptr);
   EXPECT_EQ(*resident, 1);
+  const auto colliding = cache.Lookup(probe);
+  ASSERT_NE(colliding, nullptr);
+  EXPECT_EQ(*colliding, 2);
+
+  // Erasing one key leaves the other resident.
+  EXPECT_TRUE(cache.Erase(probe));
   EXPECT_FALSE(cache.Erase(probe));
+  EXPECT_EQ(cache.Lookup(probe), nullptr);
+  ASSERT_NE(cache.Lookup(cached), nullptr);
+  EXPECT_EQ(*cache.Lookup(cached), 1);
 }
 
-TEST(ShardedLruCache, StructurallyEqualGraphsStillHit) {
-  ShardedLruCache<int> cache(CacheTierOptions{1, 4, 1u << 20});
+TEST(LruCache, StructurallyEqualGraphsStillHit) {
+  LruCache<int> cache(CacheTierOptions{4, 1u << 20});
   graph::Graph reordered(3);  // the triangle, edges added in another order
   reordered.AddEdge(2, 0);
   reordered.AddEdge(2, 1);
