@@ -285,6 +285,8 @@ int main(int argc, char** argv) {
                        obs::JsonValue(r.stats.groups_retired));
     stats.emplace_back("partner_detachments",
                        obs::JsonValue(r.stats.partner_detachments));
+    stats.emplace_back("witness_answers",
+                       obs::JsonValue(r.stats.witness_answers));
     o.emplace_back("session_stats", obs::JsonValue(std::move(stats)));
     instances.emplace_back(std::move(o));
   }

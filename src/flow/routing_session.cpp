@@ -121,6 +121,8 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
 
   activation_.assign(static_cast<std::size_t>(num_nets_), -1);
   active_.assign(static_cast<std::size_t>(num_nets_), 1);
+  hint_.assign(static_cast<std::size_t>(num_nets_), -1);
+  partner_mark_.assign(static_cast<std::size_t>(num_nets_), 0);
   owned_.assign(static_cast<std::size_t>(num_nets_), {});
   owned_by_.assign(static_cast<std::size_t>(num_nets_), {});
   for (graph::VertexId v = 0; v < num_nets_; ++v) {
@@ -249,24 +251,29 @@ bool RoutingSession::Reroute(graph::VertexId net,
     error_ = "Reroute: net " + std::to_string(net) + " out of range";
     return false;
   }
+  // Partners are marked as they pass, so a duplicate is found in one scan;
+  // the marks of the passed prefix are cleared before returning.
+  std::size_t marked = 0;
   for (const graph::VertexId u : conflicts) {
     if (u < 0 || u >= num_nets_) {
       error_ = "Reroute: partner " + std::to_string(u) + " out of range";
-      return false;
-    }
-    if (u == net) {
+    } else if (u == net) {
       error_ = "Reroute: net cannot conflict with itself";
-      return false;
-    }
-    if (!active_[static_cast<std::size_t>(u)]) {
+    } else if (!active_[static_cast<std::size_t>(u)]) {
       error_ = "Reroute: partner " + std::to_string(u) + " is inactive";
-      return false;
-    }
-    if (std::count(conflicts.begin(), conflicts.end(), u) != 1) {
+    } else if (partner_mark_[static_cast<std::size_t>(u)]) {
       error_ = "Reroute: duplicate partner " + std::to_string(u);
-      return false;
+    } else {
+      partner_mark_[static_cast<std::size_t>(u)] = 1;
+      ++marked;
+      continue;
     }
+    break;
   }
+  for (std::size_t i = 0; i < marked; ++i) {
+    partner_mark_[static_cast<std::size_t>(conflicts[i])] = 0;
+  }
+  if (!error_.empty()) return false;
   if (active_[static_cast<std::size_t>(net)] && !RipUp(net)) return false;
 
   Stopwatch stopwatch;
@@ -297,6 +304,18 @@ bool RoutingSession::Reroute(graph::VertexId net,
   return true;
 }
 
+bool RoutingSession::HintsFormRouting(int width) const {
+  for (graph::VertexId n = 0; n < num_nets_; ++n) {
+    if (!active_[static_cast<std::size_t>(n)]) continue;
+    const int track = hint_[static_cast<std::size_t>(n)];
+    if (track < 0 || track >= width) return false;
+    for (const graph::VertexId u : owned_[static_cast<std::size_t>(n)]) {
+      if (hint_[static_cast<std::size_t>(u)] == track) return false;
+    }
+  }
+  return true;
+}
+
 SessionSolveResult RoutingSession::Solve(int width) {
   SessionSolveResult out;
   if (!constructed_ok_) {
@@ -309,17 +328,6 @@ SessionSolveResult RoutingSession::Solve(int width) {
                 " outside [1, " + std::to_string(max_width_) + "]";
     return out;
   }
-  assumptions_.clear();
-  if (width < max_width_) {
-    assumptions_.push_back(
-        sat::Lit::Pos(guard_[static_cast<std::size_t>(width)]));
-  }
-  for (graph::VertexId n = 0; n < num_nets_; ++n) {
-    if (active_[static_cast<std::size_t>(n)]) {
-      assumptions_.push_back(
-          sat::Lit::Pos(activation_[static_cast<std::size_t>(n)]));
-    }
-  }
 
   SolveStep step(solver_, "session", options_.run_label,
                  options_.encoding.name, options_.heuristic, width);
@@ -330,12 +338,34 @@ SessionSolveResult RoutingSession::Solve(int width) {
   record.groups_retired = session_stats_.groups_retired - reported_retired_;
   record.cnf_vars = static_cast<std::uint64_t>(solver_.num_vars());
   record.cnf_clauses = grouped_->num_clauses();
-  const Deadline deadline = Deadline::FromTimeout(options_.timeout_seconds);
-  out.status = step.Solve(
-      assumptions_, deadline, /*stop=*/nullptr,
-      "session solve width " + std::to_string(width),
-      session_stats_.delta_seconds - reported_delta_seconds_);
-  out.solve_seconds = step.window().solve_seconds;
+  const double delta_seconds =
+      session_stats_.delta_seconds - reported_delta_seconds_;
+  // Witness first: if the tracks of the last SAT answer still route every
+  // active net properly at `width`, they are the answer and the solver is
+  // not consulted. The check is the same one a decoded model must pass.
+  out.witness = HintsFormRouting(width);
+  if (out.witness) {
+    out.status = step.AnswerWithoutSearch(
+        "session witness width " + std::to_string(width), delta_seconds);
+    ++session_stats_.witness_answers;
+  } else {
+    assumptions_.clear();
+    if (width < max_width_) {
+      assumptions_.push_back(
+          sat::Lit::Pos(guard_[static_cast<std::size_t>(width)]));
+    }
+    for (graph::VertexId n = 0; n < num_nets_; ++n) {
+      if (active_[static_cast<std::size_t>(n)]) {
+        assumptions_.push_back(
+            sat::Lit::Pos(activation_[static_cast<std::size_t>(n)]));
+      }
+    }
+    out.status = step.Solve(
+        assumptions_, Deadline::FromTimeout(options_.timeout_seconds),
+        /*stop=*/nullptr, "session solve width " + std::to_string(width),
+        delta_seconds);
+    out.solve_seconds = step.window().solve_seconds;
+  }
   ++session_stats_.solves;
   if (step.reporting()) {
     reported_deltas_ = session_stats_.deltas_applied;
@@ -343,21 +373,19 @@ SessionSolveResult RoutingSession::Solve(int width) {
     reported_delta_seconds_ = session_stats_.delta_seconds;
   }
 
-  if (out.status == sat::SolveResult::kSat) {
-    std::vector<int> tracks = encode::DecodeColoring(layout_, solver_.model());
+  if (out.status == sat::SolveResult::kSat && !out.witness) {
+    // The model becomes the new hints. Only active nets' tracks mean
+    // anything; an inactive net keeps the hint it had when it was ripped up.
+    const std::vector<int> tracks =
+        encode::DecodeColoring(layout_, solver_.model());
     bool valid = static_cast<int>(tracks.size()) == num_nets_;
     for (graph::VertexId n = 0; valid && n < num_nets_; ++n) {
-      if (!active_[static_cast<std::size_t>(n)]) {
-        tracks[static_cast<std::size_t>(n)] = -1;
-        continue;
-      }
-      const int track = tracks[static_cast<std::size_t>(n)];
-      if (track < 0 || track >= width) valid = false;
-      for (const graph::VertexId u : owned_[static_cast<std::size_t>(n)]) {
-        if (tracks[static_cast<std::size_t>(u)] == track) valid = false;
+      if (active_[static_cast<std::size_t>(n)]) {
+        hint_[static_cast<std::size_t>(n)] =
+            tracks[static_cast<std::size_t>(n)];
       }
     }
-    if (!valid) {
+    if (!valid || !HintsFormRouting(width)) {
       // Real check, not an assert: a bad decode means a solver or encoding
       // bug and must surface in Release builds too.
       out.status = sat::SolveResult::kUnknown;
@@ -365,10 +393,17 @@ SessionSolveResult RoutingSession::Solve(int width) {
                   " is not a proper routing of the active nets";
       return out;
     }
-    out.tracks = std::move(tracks);
   } else if (out.status == sat::SolveResult::kUnsat && !solver_.okay()) {
     // Cannot happen: every clause is retractable or ladder-guarded.
     out.error = "resident solver refuted the formula outright";
+  }
+  if (out.status == sat::SolveResult::kSat) {
+    out.tracks = hint_;
+    for (graph::VertexId n = 0; n < num_nets_; ++n) {
+      if (!active_[static_cast<std::size_t>(n)]) {
+        out.tracks[static_cast<std::size_t>(n)] = -1;
+      }
+    }
   }
   return out;
 }

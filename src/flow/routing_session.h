@@ -1,11 +1,13 @@
 // A long-lived incremental routing session: extract once, encode once,
 // then absorb net-level rip-up/re-route deltas by flipping assumptions on a
-// resident solver.
+// resident solver, and answer a query from the last routing when it still
+// holds.
 //
 // The paper's flow re-extracts the conflict graph and re-encodes the whole
-// channel for every query. RoutingSession encodes once and answers every
-// later query with assumptions: a width guard ladder selects the *width*,
-// and one activation literal per net selects the *nets*:
+// channel for every query. RoutingSession encodes once; a query either
+// re-uses the last routing or searches under assumptions, where a width
+// guard ladder selects the *width* and one activation literal per net
+// selects the *nets*:
 //
 //   * Construction encodes the initial conflict graph at `max_width` once,
 //     streamed through a NetGroupedSink into the resident solver. Every
@@ -13,15 +15,16 @@
 //     clauses of the edges it owns — live in one group guarded by the net's
 //     activation literal. The width guard ladder (g_W forbids track W
 //     everywhere and implies g_{W+1}) is emitted unguarded ahead of the
-//     groups, so Solve(W) is one SolveWithAssumptions({g_W} + active
-//     selectors) call. The session is the ladder's only writer.
+//     groups, so a searching Solve(W) is one SolveWithAssumptions({g_W} +
+//     active selectors) call. The session is the ladder's only writer.
 //
 //   * Every conflict clause carries BOTH endpoints' guards
 //     (~a_owner v ~a_partner v conflict), so an edge dies the moment either
 //     endpoint's group is retired. RipUp(net) is therefore pure
 //     deactivation: one permanent unit ~selector (the solver reclaims the
-//     group's clauses and every learnt that leaned on it) plus local edge
-//     bookkeeping — the surviving partners' clauses are never touched.
+//     group's clauses and every learnt that leaned on it once enough
+//     retirements have accumulated) plus local edge bookkeeping — the
+//     surviving partners' clauses are never touched.
 //
 //   * Reroute(net, conflicts) gives the net a fresh group owning all its
 //     new edges, under a fresh activation variable. Edge ownership — every
@@ -31,6 +34,15 @@
 //     clauses toward a ripped-and-revived net stay dead because they
 //     reference the net's retired selector, and the revived net's Reroute
 //     re-emits exactly the edges that should exist.
+//
+//   * Witness first. Each net keeps its track from the last SAT answer the
+//     solver gave as a hint; a rip-up or re-route leaves the hint in place.
+//     Solve(W) first checks whether the hints of the active nets are a
+//     proper routing at W (every track in [0, W), no owned edge joining two
+//     equal tracks) — the same check every decoded model must pass. If so,
+//     the hints are the answer and the solver is not called; otherwise the
+//     solver runs as above and a SAT answer refreshes the hints. kUnsat
+//     therefore always comes from the solver.
 //
 // No step re-extracts a conflict graph or re-encodes an unchanged net; a
 // delta costs emitting one or a few net groups (microseconds-to-
@@ -80,6 +92,9 @@ struct SessionSolveResult {
   /// Track per net, -1 for inactive nets; filled only on kSat (validated:
   /// in [0, width), proper on every active conflict edge).
   std::vector<int> tracks;
+  /// True when the tracks are the last routing, still proper at this
+  /// width, and the solver was not called (solve_seconds is then 0).
+  bool witness = false;
   double solve_seconds = 0.0;
   /// Non-empty on a malformed query or an internal validation failure.
   std::string error;
@@ -96,7 +111,9 @@ struct SessionStats {
                                           // rip-up silenced via the cross
                                           // guard (no clause re-emission)
   std::uint64_t delta_clauses = 0;    // clauses emitted by deltas
-  std::uint64_t solves = 0;
+  std::uint64_t solves = 0;           // Solve calls answered, witness
+                                      // answers included
+  std::uint64_t witness_answers = 0;  // solves answered from the hints
   std::uint64_t full_encodes = 0;     // 1 after construction, never more
   std::uint64_t graph_extractions = 0;  // always 0: the session never
                                         // rebuilds a conflict graph
@@ -143,7 +160,9 @@ class RoutingSession {
                const std::vector<graph::VertexId>& conflicts);
 
   /// Solves the current netlist state at `width` tracks (1 <= width <=
-  /// max_width) on the resident solver — assumptions only, no re-encode.
+  /// max_width): from the hints when they still form a proper routing at
+  /// `width`, otherwise on the resident solver — assumptions only, no
+  /// re-encode.
   SessionSolveResult Solve(int width);
 
   const SessionStats& session_stats() const { return session_stats_; }
@@ -169,6 +188,9 @@ class RoutingSession {
   void EmitGroup(graph::VertexId net);
   // Retires `net`'s current group in the resident solver.
   void RetireGroup(graph::VertexId net);
+  // True if every active net has a hint in [0, width) and no owned edge
+  // joins two equal hints.
+  bool HintsFormRouting(int width) const;
 
   RoutingSessionOptions options_;
   int max_width_ = 0;
@@ -190,6 +212,10 @@ class RoutingSession {
   std::vector<sat::Var> guard_;          // width ladder, index = width
   std::vector<sat::Var> activation_;     // current selector per net (-1 = none)
   std::vector<char> active_;
+  // Track per net from the last SAT answer of the solver, -1 = none. Kept
+  // across rip-ups and re-routes; only a solver SAT answer rewrites it.
+  std::vector<int> hint_;
+  std::vector<char> partner_mark_;       // scratch for Reroute, all 0
   // Edge bookkeeping: owned_[n] = partners of edges n owns; owned_by_[n] =
   // nets owning an edge to n. Together they cover every current edge
   // exactly once from each side.

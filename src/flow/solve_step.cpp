@@ -40,8 +40,24 @@ sat::SolveResult SolveStep::Solve(const std::vector<sat::Lit>& assumptions,
   span.AddArg("verdict", obs::JsonValue(sat::ToString(status)));
   span.End();
   window_ = solver_.stats().Since(before_);
-  if (report_ == nullptr) return status;
+  Report(status, encode_seconds);
+  return status;
+}
 
+sat::SolveResult SolveStep::AnswerWithoutSearch(const std::string& span_name,
+                                                double encode_seconds) {
+  obs::TraceSpan span(trace_, span_name, record_.phase);
+  span.AddArg("instance", obs::JsonValue(record_.instance));
+  span.AddArg("width", obs::JsonValue(record_.width));
+  span.AddArg("verdict", obs::JsonValue(sat::ToString(sat::SolveResult::kSat)));
+  span.End();
+  record_.witness = true;
+  Report(sat::SolveResult::kSat, encode_seconds);
+  return sat::SolveResult::kSat;
+}
+
+void SolveStep::Report(sat::SolveResult status, double encode_seconds) {
+  if (report_ == nullptr) return;
   record_.verdict = sat::ToString(status);
   record_.encode_seconds = encode_seconds;
   record_.solve_seconds = window_.solve_seconds;
@@ -55,7 +71,6 @@ sat::SolveResult SolveStep::Solve(const std::vector<sat::Lit>& assumptions,
   record_.peak_clause_memory_bytes = solver_.ClauseMemoryBytes();
   if (observer_.has_value()) observer_->FillRecord(&record_);
   report_->Append(record_);
-  return status;
 }
 
 }  // namespace satfr::flow

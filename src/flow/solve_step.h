@@ -1,7 +1,7 @@
 // The one solve step of RouteDetailed* and RoutingSession::Solve: telemetry
-// observer, trace span, the SAT call, the solver-stats window and the run
-// record. A caller sets only the record fields its own path knows (formula
-// size, coloring time, session deltas).
+// observer, trace span, the SAT call (or a caller-certified answer), the
+// solver-stats window and the run record. A caller sets only the record
+// fields its own path knows (formula size, coloring time, session deltas).
 #pragma once
 
 #include <atomic>
@@ -45,10 +45,20 @@ class SolveStep {
                          Deadline deadline, const std::atomic<bool>* stop,
                          const std::string& span_name, double encode_seconds);
 
-  /// Solver stats over the step's window (valid after Solve).
+  /// Answers kSat without calling the solver, for a caller that certified
+  /// its answer itself (the session's witness): the same span and record
+  /// as Solve, with a zero solver window and the record's `witness` set.
+  sat::SolveResult AnswerWithoutSearch(const std::string& span_name,
+                                       double encode_seconds);
+
+  /// Solver stats over the step's window (valid after Solve; zero after
+  /// AnswerWithoutSearch).
   const sat::SolverStats& window() const { return window_; }
 
  private:
+  // Fills the shared record fields and appends it when reporting.
+  void Report(sat::SolveResult status, double encode_seconds);
+
   sat::Solver& solver_;
   obs::TraceWriter* const trace_;
   obs::RunReportWriter* const report_;

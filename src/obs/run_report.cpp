@@ -81,6 +81,7 @@ JsonValue RunRecord::ToJson() const {
     JsonObject session;
     session.emplace_back("deltas_applied", JsonValue(deltas_applied));
     session.emplace_back("groups_retired", JsonValue(groups_retired));
+    session.emplace_back("witness", JsonValue(witness));
     o.emplace_back("session", JsonValue(std::move(session)));
   }
 
@@ -149,6 +150,8 @@ bool RunRecord::FromJson(const JsonValue& value, RunRecord* record,
   if (const JsonValue* session = value.Find("session")) {
     r.deltas_applied = GetU64(*session, "deltas_applied");
     r.groups_retired = GetU64(*session, "groups_retired");
+    const JsonValue* witness = session->Find("witness");
+    r.witness = witness != nullptr && witness->is_bool() && witness->AsBool();
   }
   if (const JsonValue* cube = value.Find("cube")) {
     r.cubes = GetU64(*cube, "cubes");

@@ -75,6 +75,9 @@ struct RunRecord {
   // is reported as encode_seconds (the session never re-encodes).
   std::uint64_t deltas_applied = 0;
   std::uint64_t groups_retired = 0;
+  // True when the session answered from its last routing without calling
+  // the solver (verdict SAT, zero solver window, solve_seconds 0).
+  bool witness = false;
 
   // ---- cube (zero unless the cube pool ran) ----
   std::uint64_t cubes = 0;

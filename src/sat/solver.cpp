@@ -268,7 +268,11 @@ bool Solver::RetireActivationGroup(Var activation) {
   if (Value(off) == LBool::kTrue) return true;  // already retired
   if (!AddClause(&off, 1)) return false;
   ++stats_.retired_groups;
-  return true;
+  // Reclaim here rather than at the next search: a caller that applies
+  // many deltas between solves (or answers without solving) would
+  // otherwise keep every retired group resident until it searches.
+  SimplifyAtLevelZero();
+  return ok_;
 }
 
 Solver::ClauseRef Solver::AllocClause(const Clause& lits, bool learnt) {

@@ -335,10 +335,13 @@ class Solver {
 
   /// Permanently retires the clause group guarded by activation variable
   /// `activation`: adds the unit clause ~activation, so every group clause
-  /// (~activation \/ C) is satisfied at level 0 and reclaimed by the next
-  /// RemoveSatisfied sweep — together with every learnt that contains
-  /// ~activation (i.e. whose derivation leaned on the group under the
-  /// activation assumption). Call between solves only. Returns okay().
+  /// (~activation \/ C) is satisfied at level 0 — together with every
+  /// learnt that contains ~activation (i.e. whose derivation leaned on the
+  /// group under the activation assumption). The call then runs the same
+  /// gated level-0 simplification a search runs at its restarts, so retired
+  /// groups are reclaimed once enough new top-level facts have accumulated
+  /// whether or not the caller ever solves again. Call between solves only.
+  /// Returns okay().
   bool RetireActivationGroup(Var activation);
 
  private:

@@ -394,9 +394,10 @@ void RoutingService::ExecuteSessionOp(Session& session, const SessionOp& op) {
     case RequestKind::kSessionSolve: {
       const int width =
           op.width > 0 ? op.width : routing_session.max_width();
-      const flow::SessionSolveResult result = routing_session.Solve(width);
+      flow::SessionSolveResult result = routing_session.Solve(width);
       r.status = result.status;
-      r.tracks = result.tracks;
+      r.tracks = std::move(result.tracks);
+      r.witness = result.witness;
       r.solve_seconds = result.solve_seconds;
       if (!result.error.empty()) {
         r.ok = false;

@@ -101,6 +101,9 @@ struct Response {
   /// Session delta ops: emission/apply cost inside the resident solver.
   double apply_seconds = 0.0;
   bool verdict_hit = false;   // answered by the verdict tier
+  /// Session solve answered from the session's last routing, without
+  /// calling the solver (see flow::SessionSolveResult::witness).
+  bool witness = false;
   /// Always false (there is no instance tier). Stays only because
   /// perfbench's service_mix still reads it; the benchmark change of
   /// ROADMAP item 1 removes that last reader, and this field with it.

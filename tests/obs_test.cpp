@@ -14,6 +14,7 @@
 
 #include "analysis/runner.h"
 #include "flow/detailed_router.h"
+#include "flow/routing_session.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/run_report.h"
@@ -383,6 +384,55 @@ TEST(RunReportTest, FixedSeedReportIsByteStableModuloTimings) {
   const std::string second = SolveAndReport(TempPath("obs_det_b.jsonl"));
   // Raw bytes differ (timings); normalized bytes must not.
   EXPECT_EQ(NormalizeReport(first), NormalizeReport(second));
+}
+
+// A session answer from the witness writes the same record as a solver
+// answer, with a zero solver window, and advances the delta window.
+TEST(RunReportTest, SessionWitnessAnswerWritesAZeroWindowRecord) {
+  const std::string path = TempPath("obs_session_witness.jsonl");
+  {
+    ScopedGlobalReport report(path);
+    graph::Graph path_graph(3);
+    path_graph.AddEdge(0, 1);
+    path_graph.AddEdge(1, 2);
+    flow::RoutingSessionOptions options;
+    options.run_label = "witness-test";
+    flow::RoutingSession session(path_graph, 3, options);
+    ASSERT_TRUE(session.ok()) << session.error();
+    EXPECT_FALSE(session.Solve(3).witness);  // no hints yet
+    ASSERT_TRUE(session.RipUp(0));
+    EXPECT_TRUE(session.Solve(3).witness);
+    EXPECT_TRUE(session.Solve(3).witness);
+  }
+  std::vector<RunRecord> records;
+  std::string error;
+  ASSERT_TRUE(LoadRunReport(path, &records, &error)) << error;
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_FALSE(records[0].witness);
+  EXPECT_GT(records[0].propagations, 0u);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    const RunRecord& r = records[i];
+    EXPECT_EQ(r.phase, "session");
+    EXPECT_EQ(r.instance, "witness-test");
+    EXPECT_EQ(r.verdict, "SAT");
+    EXPECT_TRUE(r.witness);
+    EXPECT_EQ(r.solve_seconds, 0.0);
+    EXPECT_EQ(r.propagations, 0u);
+    EXPECT_EQ(r.decisions, 0u);
+    EXPECT_EQ(r.conflicts, 0u);
+    EXPECT_EQ(r.learned, 0u);
+  }
+  // The rip-up lands in the first witness record's delta window only.
+  EXPECT_EQ(records[1].deltas_applied, 1u);
+  EXPECT_EQ(records[1].groups_retired, 1u);
+  EXPECT_EQ(records[2].deltas_applied, 0u);
+  EXPECT_EQ(records[2].groups_retired, 0u);
+
+  const analysis::AnalysisRunner runner = analysis::MakeDefaultRunner();
+  analysis::AnalysisInput input;
+  input.run_records = &records;
+  const analysis::AnalysisReport report = runner.Run(input);
+  EXPECT_TRUE(report.diagnostics.empty()) << analysis::FormatText(report);
 }
 
 // ------------------------------------------- telemetry-consistency pass --

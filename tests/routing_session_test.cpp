@@ -1,7 +1,8 @@
 // Tests for the incremental routing session: lifecycle (encode once, solve
 // many widths on assumptions), rip-up/re-route semantics, the incremental
 // contract counters, error paths, the audit stream's hygiene, and the
-// randomized scripted-delta equivalence sweep against the fresh
+// witness-first answers, reclamation of retired groups without a solve, and
+// the randomized scripted-delta equivalence sweep against the fresh
 // extract+encode+solve flow across every evaluated encoding and symmetry
 // heuristic.
 #include <gtest/gtest.h>
@@ -40,15 +41,18 @@ graph::Graph Triangle() {
   return g;
 }
 
-/// The "tiny" MCNC instance's conflict graph — the sweep's workhorse.
-graph::Graph TinyConflictGraph() {
-  const netlist::McncBenchmark bench = netlist::GenerateMcncBenchmark("tiny");
+/// An MCNC instance's conflict graph.
+graph::Graph McncConflictGraph(const std::string& name) {
+  const netlist::McncBenchmark bench = netlist::GenerateMcncBenchmark(name);
   const fpga::Arch arch(bench.params.grid_size);
   const fpga::DeviceGraph device(arch);
   const route::GlobalRouting routing =
       route::RouteGlobally(device, bench.netlist, bench.placement);
   return BuildConflictGraph(arch, routing);
 }
+
+/// The "tiny" instance's conflict graph — the sweep's workhorse.
+graph::Graph TinyConflictGraph() { return McncConflictGraph("tiny"); }
 
 /// Checks that a kSat result's tracks are a proper coloring of the
 /// session's current active graph: every active net in [0, width), every
@@ -269,6 +273,140 @@ TEST(RoutingSessionTest, WidthLadderEmitsGuardedNegatedCubes) {
 }
 
 // ---------------------------------------------------------------------------
+// Witness-first solving and reclamation at retirement.
+// ---------------------------------------------------------------------------
+
+/// Expects the solver's search counters not to move between two snapshots.
+void ExpectNoSearch(const sat::SolverStats& before,
+                    const sat::SolverStats& after) {
+  EXPECT_EQ(after.conflicts, before.conflicts);
+  EXPECT_EQ(after.decisions, before.decisions);
+  EXPECT_EQ(after.propagations, before.propagations);
+}
+
+TEST(RoutingSessionWitnessTest, RerouteToOriginalPartnersAnswersFromWitness) {
+  const graph::Graph g = TinyConflictGraph();
+  const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
+  RoutingSession session(g, peak);
+  ASSERT_TRUE(session.ok()) << session.error();
+
+  const SessionSolveResult first = session.Solve(peak);
+  EXPECT_FALSE(first.witness);  // no hints before the first SAT answer
+  ExpectValidTracks(session, first, peak);
+
+  VertexId net = 0;
+  while (g.Neighbors(net).empty()) ++net;
+  ASSERT_TRUE(session.RipUp(net)) << session.error();
+  sat::SolverStats before = session.solver().stats();
+  const SessionSolveResult ripped = session.Solve(peak);
+  ExpectNoSearch(before, session.solver().stats());
+  EXPECT_TRUE(ripped.witness);
+  EXPECT_EQ(ripped.solve_seconds, 0.0);
+  ExpectValidTracks(session, ripped, peak);
+
+  ASSERT_TRUE(session.Reroute(net, g.Neighbors(net))) << session.error();
+  before = session.solver().stats();
+  const SessionSolveResult restored = session.Solve(peak);
+  ExpectNoSearch(before, session.solver().stats());
+  EXPECT_TRUE(restored.witness);
+  ExpectValidTracks(session, restored, peak);
+  EXPECT_EQ(restored.tracks, first.tracks);
+
+  const SessionStats& stats = session.session_stats();
+  EXPECT_EQ(stats.solves, 3u);
+  EXPECT_EQ(stats.witness_answers, 2u);
+}
+
+TEST(RoutingSessionWitnessTest, CollidingHintFallsBackToTheSolver) {
+  // Edge 0-1 only, two tracks: net 2 is unconstrained, so its hint equals
+  // one of the others'. Re-routing it onto that net makes the hints clash.
+  graph::Graph g(3);
+  g.AddEdge(0, 1);
+  RoutingSession session(g, 2);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const SessionSolveResult first = session.Solve(2);
+  ExpectValidTracks(session, first, 2);
+  const VertexId twin = first.tracks[2] == first.tracks[0] ? 0 : 1;
+  ASSERT_EQ(first.tracks[2], first.tracks[static_cast<std::size_t>(twin)]);
+
+  ASSERT_TRUE(session.Reroute(2, {twin})) << session.error();
+  const std::uint64_t decisions = session.solver().stats().decisions;
+  const SessionSolveResult rerouted = session.Solve(2);
+  EXPECT_FALSE(rerouted.witness);
+  EXPECT_GT(session.solver().stats().decisions, decisions);
+  ExpectValidTracks(session, rerouted, 2);
+
+  // The solver's answer is the new witness.
+  const SessionSolveResult again = session.Solve(2);
+  EXPECT_TRUE(again.witness);
+  EXPECT_EQ(again.tracks, rerouted.tracks);
+}
+
+TEST(RoutingSessionWitnessTest, WidthBelowTheHighestHintFallsBackToTheSolver) {
+  const graph::Graph g = TinyConflictGraph();
+  const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
+  RoutingSession session(g, peak);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const SessionSolveResult first = session.Solve(peak);
+  ExpectValidTracks(session, first, peak);
+  const int highest =
+      *std::max_element(first.tracks.begin(), first.tracks.end());
+  ASSERT_GE(highest, 1);
+
+  // Track `highest` is out of range at width `highest`.
+  const SessionSolveResult below = session.Solve(highest);
+  EXPECT_FALSE(below.witness);
+  EXPECT_EQ(below.status, RouteDetailedOnGraph(g, highest).status);
+  if (below.status == SolveResult::kSat) {
+    ExpectValidTracks(session, below, highest);
+  }
+}
+
+TEST(RoutingSessionWitnessTest, TriangleAtWidthTwoStaysUnsat) {
+  RoutingSession session(Triangle(), 3);
+  ASSERT_TRUE(session.ok()) << session.error();
+  ExpectValidTracks(session, session.Solve(3), 3);
+  const SessionSolveResult tight = session.Solve(2);
+  EXPECT_EQ(tight.status, SolveResult::kUnsat);
+  EXPECT_FALSE(tight.witness);
+
+  // A rip-up and a re-route to the same partners: the hints still route
+  // width 3, and width 2 is still refuted by the solver.
+  ASSERT_TRUE(session.RipUp(0));
+  ASSERT_TRUE(session.Reroute(0, {1, 2}));
+  EXPECT_TRUE(session.Solve(3).witness);
+  const SessionSolveResult refuted = session.Solve(2);
+  EXPECT_EQ(refuted.status, SolveResult::kUnsat);
+  EXPECT_FALSE(refuted.witness);
+  EXPECT_EQ(session.session_stats().witness_answers, 1u);
+}
+
+// Retiring a group reclaims it without waiting for a search: a session
+// absorbing many deltas between solves keeps a bounded clause store. (With
+// reclamation left to the next search, the store grows with every delta:
+// 7.5x its size at open after these 1,000.)
+TEST(RoutingSessionTest, DeltasWithoutSolvesKeepClauseMemoryBounded) {
+  const graph::Graph g = McncConflictGraph("alu2");
+  const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
+  RoutingSession session(g, peak);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const std::size_t opened = session.solver().ClauseMemoryBytes();
+
+  // 500 rip-up / re-route pairs over the nets in turn, each re-routed to
+  // its original partners, so the live formula never changes size.
+  for (int delta = 0; delta < 1000; delta += 2) {
+    const VertexId net = (delta / 2) % g.num_vertices();
+    ASSERT_TRUE(session.RipUp(net)) << session.error();
+    ASSERT_TRUE(session.Reroute(net, g.Neighbors(net))) << session.error();
+  }
+  EXPECT_EQ(session.session_stats().deltas_applied, 1000u);
+  EXPECT_EQ(session.session_stats().solves, 0u);
+  EXPECT_LE(session.solver().ClauseMemoryBytes(), 2 * opened)
+      << "opened at " << opened << " bytes, now "
+      << session.solver().ClauseMemoryBytes();
+}
+
+// ---------------------------------------------------------------------------
 // Randomized scripted-delta equivalence sweep: after every delta the
 // session's verdict must match a fresh extract+encode+solve of its own
 // active graph, for every evaluated encoding and symmetry heuristic.
@@ -322,6 +460,8 @@ TEST(RoutingSessionEquivalenceSweep, MatchesFreshFlowAcrossAllEncodings) {
   const graph::Graph g = TinyConflictGraph();
   const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
   Rng root(0xf9a0b1c2d3e4f500ull);
+  std::uint64_t witness_answers = 0;
+  std::uint64_t solver_answers = 0;
 
   for (const std::string& name : encode::EvaluatedEncodingNames()) {
     for (const auto heuristic :
@@ -364,11 +504,15 @@ TEST(RoutingSessionEquivalenceSweep, MatchesFreshFlowAcrossAllEncodings) {
         if (incremental.status == SolveResult::kSat) {
           ExpectValidTracks(session, incremental, width);
         }
+        ++(incremental.witness ? witness_answers : solver_answers);
       }
       EXPECT_EQ(session.session_stats().full_encodes, 1u) << name;
       EXPECT_EQ(session.session_stats().graph_extractions, 0u) << name;
     }
   }
+  // Both answer paths are covered by the equivalence check.
+  EXPECT_GT(witness_answers, 0u);
+  EXPECT_GT(solver_answers, 0u);
 }
 
 }  // namespace

@@ -630,6 +630,8 @@ TEST(RoutingService, SessionOpsApplyInOrderAndMatchTheGraph) {
   const auto t3 = svc.SubmitReroute("client-a", 0, {1, 2});
   const auto t4 = svc.SubmitSessionSolve("client-a", 2);
   const auto t5 = svc.SubmitSessionSolve("client-a", 3);
+  // Nothing changed since t5's routing: answered from it.
+  const auto t6 = svc.SubmitSessionSolve("client-a", 3);
 
   const Response& rip = svc.Wait(t1);
   EXPECT_TRUE(rip.ok) << rip.error;
@@ -643,8 +645,13 @@ TEST(RoutingService, SessionOpsApplyInOrderAndMatchTheGraph) {
   EXPECT_EQ(svc.Wait(t4).status, sat::SolveResult::kUnsat);
   const Response& full = svc.Wait(t5);
   EXPECT_EQ(full.status, sat::SolveResult::kSat);
+  EXPECT_FALSE(full.witness);  // net 0 has no track from a SAT answer yet
+  const Response& repeat = svc.Wait(t6);
+  EXPECT_EQ(repeat.status, sat::SolveResult::kSat);
+  EXPECT_TRUE(repeat.witness);
+  EXPECT_EQ(repeat.tracks, full.tracks);
 
-  EXPECT_EQ(svc.stats().session_ops, 5u);
+  EXPECT_EQ(svc.stats().session_ops, 6u);
   EXPECT_EQ(svc.stats().sessions_open, 1u);
   svc.CloseSession("client-a");
   EXPECT_FALSE(svc.HasSession("client-a"));

@@ -764,8 +764,9 @@ int CmdReplay(const CliOptions& opts) {
       in >> width;  // optional; keeps the default when absent
       const flow::SessionSolveResult result = session.Solve(width);
       if (!result.error.empty()) return trace_error(result.error);
-      std::printf("solve W=%d: %s in %.3fs\n", width,
-                  sat::ToString(result.status), result.solve_seconds);
+      std::printf("solve W=%d: %s in %.3fs%s\n", width,
+                  sat::ToString(result.status), result.solve_seconds,
+                  result.witness ? " [witness]" : "");
     } else {
       return trace_error("unknown trace op '" + op + "'");
     }
@@ -785,6 +786,9 @@ int CmdReplay(const CliOptions& opts) {
                 Percentile(delta_seconds, 0.99) * 1e6,
                 delta_seconds.size());
   }
+  std::printf("solves: %llu answered, %llu witness answer(s)\n",
+              static_cast<unsigned long long>(stats.solves),
+              static_cast<unsigned long long>(stats.witness_answers));
   std::printf("incremental contract: %llu full encode(s), %llu graph "
               "re-extraction(s)\n",
               static_cast<unsigned long long>(stats.full_encodes),
@@ -848,14 +852,12 @@ int CmdServe(const CliOptions& opts) {
                     sat::ToString(r.status), r.latency_seconds * 1e6,
                     r.verdict_hit ? " [verdict]" : "",
                     r.cancelled ? " [cancelled]" : "");
+      } else if (r.kind == service::RequestKind::kSessionSolve) {
+        std::printf("%s: %s in %.0fus%s\n", out.what.c_str(),
+                    sat::ToString(r.status), r.latency_seconds * 1e6,
+                    r.witness ? " [witness]" : "");
       } else {
-        std::printf("%s: %s%.0fus\n", out.what.c_str(),
-                    r.kind == service::RequestKind::kSessionSolve
-                        ? (std::string(sat::ToString(r.status)) + " in ").c_str()
-                        : "",
-                    (r.kind == service::RequestKind::kSessionSolve
-                         ? r.latency_seconds
-                         : r.apply_seconds) * 1e6);
+        std::printf("%s: %.0fus\n", out.what.c_str(), r.apply_seconds * 1e6);
       }
     }
     outstanding.clear();
