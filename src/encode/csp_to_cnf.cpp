@@ -1,5 +1,6 @@
 #include "encode/csp_to_cnf.h"
 
+#include <algorithm>
 #include <cassert>
 #include <utility>
 
@@ -57,14 +58,25 @@ ColoringLayout EncodeColoringToSink(
     }
   }
 
-  // Conflict clauses: one per edge per shared domain value (§2).
-  for (const auto& [u, v] : g.Edges()) {
+  // Conflict clauses: one per edge per shared domain value (§2), edges in
+  // (min, max) lexicographic order — each vertex u's higher neighbors,
+  // ascending, sorted per vertex in a reused buffer.
+  std::vector<graph::VertexId> higher;
+  for (graph::VertexId u = 0; u < n; ++u) {
+    higher.clear();
+    for (const graph::VertexId v : g.Neighbors(u)) {
+      if (v > u) higher.push_back(v);
+    }
+    std::sort(higher.begin(), higher.end());
     const int offset_u = out.vertex_offset[static_cast<std::size_t>(u)];
-    const int offset_v = out.vertex_offset[static_cast<std::size_t>(v)];
-    for (int d = 0; d < num_colors; ++d) {
-      const Cube& cube = out.domain.value_cubes[static_cast<std::size_t>(d)];
-      EmitConflictClause(cube, offset_u, cube, offset_v, sink, scratch);
-      ++out.stats.conflict_clauses;
+    for (const graph::VertexId v : higher) {
+      const int offset_v = out.vertex_offset[static_cast<std::size_t>(v)];
+      for (int d = 0; d < num_colors; ++d) {
+        const Cube& cube =
+            out.domain.value_cubes[static_cast<std::size_t>(d)];
+        EmitConflictClause(cube, offset_u, cube, offset_v, sink, scratch);
+        ++out.stats.conflict_clauses;
+      }
     }
   }
 

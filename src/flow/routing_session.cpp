@@ -134,6 +134,9 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
     }
   }
   for (graph::VertexId v = 0; v < num_nets_; ++v) EmitGroup(v);
+  // The session is open: its binaries leave the load buffer for the frozen
+  // layer now rather than at the first delta or solve.
+  solver_.FinishLoad();
   num_active_ = num_nets_;
   session_stats_.full_encodes = 1;
   span.AddArg("clauses", obs::JsonValue(grouped_->num_clauses()));

@@ -26,7 +26,12 @@ void SolverSink::DoEmit(const Lit* lits, std::size_t n) {
   ok_ = solver_.AddClause(lits, n) && ok_;
 }
 
-bool SolverSink::Finish() { return ok_ && solver_.okay(); }
+void SolverSink::ReserveClauses(std::uint64_t n) { solver_.ReserveClauses(n); }
+
+bool SolverSink::Finish() {
+  solver_.FinishLoad();
+  return ok_ && solver_.okay();
+}
 
 // ------------------------------------------------------- StreamingDimacsSink
 

@@ -124,12 +124,15 @@ class CnfCollectorSink final : public ClauseSink {
 
 /// Feeds the stream straight into a Solver: clauses go from the encoder's
 /// scratch buffer into the solver's arena/binary layer with no intermediate
-/// materialization. Finish() is false once the solver refuted the formula.
+/// materialization. ReserveClauses reaches the solver's binary load buffer;
+/// Finish() ends the solver's load phase (Solver::FinishLoad) and is false
+/// once the solver refuted the formula.
 class SolverSink final : public ClauseSink {
  public:
   explicit SolverSink(Solver& solver);
 
   void EnsureVars(int n) override;
+  void ReserveClauses(std::uint64_t n) override;
   bool Finish() override;
 
   /// False once any emitted clause made the formula unsatisfiable.

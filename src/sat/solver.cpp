@@ -231,7 +231,9 @@ Var Solver::NewVar() {
   bin_overflow_.emplace_back();
   bin_overflow_nonempty_.push_back(0);
   bin_overflow_nonempty_.push_back(0);
-  trail_.Reserve(level_.size());
+  // The trail follows the per-variable arrays' (geometric) capacity, so
+  // one-at-a-time allocation does not copy it on every call.
+  trail_.Reserve(level_.capacity());
   order_.Grow(num_vars());
   order_.Insert(v);
   return v;
@@ -239,7 +241,14 @@ Var Solver::NewVar() {
 
 void Solver::EnsureVars(int n) {
   if (n <= num_vars()) return;
-  const std::size_t count = static_cast<std::size_t>(n);
+  // The first reservation is exact (a fresh solver learns its size from the
+  // encoder); growth past it doubles, so callers that add a few variables
+  // at a time (a session's selector per re-route) do not move every
+  // per-variable array on each call.
+  std::size_t count = static_cast<std::size_t>(n);
+  if (count > level_.capacity() && level_.capacity() > 0) {
+    count = std::max(count, 2 * level_.capacity());
+  }
   lit_value_.reserve(2 * count);
   saved_phase_.reserve(count);
   level_.reserve(count);
@@ -275,20 +284,19 @@ bool Solver::RetireActivationGroup(Var activation) {
   return ok_;
 }
 
-Solver::ClauseRef Solver::AllocClause(const Clause& lits, bool learnt) {
+Solver::ClauseRef Solver::AllocClause(const Lit* lits, std::size_t size,
+                                      bool learnt) {
   const std::uint32_t extra = learnt ? 3u : 1u;
   const ClauseRef cref = static_cast<ClauseRef>(arena_.size());
   assert(cref < kBinaryReasonBit && "arena exceeds the reason tag space");
-  arena_.resize(arena_.size() + extra + lits.size());
+  arena_.resize(arena_.size() + extra + size);
   ClauseView c = View(cref);
-  *c.header = (static_cast<std::uint32_t>(lits.size()) << 6) | (learnt ? 1u : 0u);
+  *c.header = (static_cast<std::uint32_t>(size) << 6) | (learnt ? 1u : 0u);
   if (learnt) {
     c.SetActivity(0.0f);
-    c.Lbd() = static_cast<std::uint32_t>(lits.size());
+    c.Lbd() = static_cast<std::uint32_t>(size);
   }
-  for (std::size_t i = 0; i < lits.size(); ++i) {
-    c[static_cast<std::uint32_t>(i)] = lits[i];
-  }
+  std::copy(lits, lits + size, c.lits());
   return cref;
 }
 
@@ -322,6 +330,7 @@ void Solver::DetachClause(ClauseRef cref) {
 }
 
 void Solver::AttachBinary(Lit a, Lit b) {
+  assert(!loading_ && "input binaries go to the load buffer until FinishLoad");
   const auto code_a = static_cast<std::size_t>((~a).code());
   const auto code_b = static_cast<std::size_t>((~b).code());
   bin_overflow_[code_a].push_back(b);
@@ -365,51 +374,110 @@ bool Solver::AddClause(Clause clause) {
 bool Solver::AddClause(const Lit* lits, std::size_t n) {
   assert(DecisionLevel() == 0);
   if (!ok_) return false;
-  add_scratch_.assign(lits, lits + n);
-  for (const Lit l : add_scratch_) {
-    assert(l.IsValid() && l.var() < num_vars());
-    (void)l;
+  for (std::size_t i = 0; i < n; ++i) {
+    assert(lits[i].IsValid() && lits[i].var() < num_vars());
+  }
+  // Sort, so duplicates and tautologies sit side by side. 2- and 3-literal
+  // clauses, nearly all of a routing CNF, sort in a local array; longer
+  // ones go through the scratch buffer, whose capacity is reused across
+  // calls, so streaming emission (SolverSink) adds clauses without heap
+  // traffic.
+  Lit small[3];
+  Lit* buf = small;
+  if (n <= 3) {
+    std::copy(lits, lits + n, small);
+    if (n >= 2 && small[1] < small[0]) std::swap(small[0], small[1]);
+    if (n == 3) {
+      if (small[2] < small[1]) std::swap(small[1], small[2]);
+      if (small[1] < small[0]) std::swap(small[0], small[1]);
+    }
+  } else {
+    add_scratch_.assign(lits, lits + n);
+    std::sort(add_scratch_.begin(), add_scratch_.end());
+    buf = add_scratch_.data();
   }
   // Simplify in place against the level-0 assignment; drop duplicates and
-  // tautologies. The scratch buffer keeps its capacity across calls, so
-  // streaming emission (SolverSink) adds clauses without heap traffic.
-  std::sort(add_scratch_.begin(), add_scratch_.end());
+  // tautologies.
   std::size_t out = 0;
   Lit previous = kUndefLit;
-  for (std::size_t i = 0; i < add_scratch_.size(); ++i) {
-    const Lit l = add_scratch_[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    const Lit l = buf[i];
     const LBool value = Value(l);
     if (value == LBool::kTrue || l == ~previous) return true;  // satisfied
     if (value != LBool::kFalse && l != previous) {
-      add_scratch_[out++] = l;
+      buf[out++] = l;
       previous = l;
     }
   }
-  const bool strengthened = out < add_scratch_.size();
-  add_scratch_.resize(out);
   // Strengthened clauses are RUP consequences of the database; log them so
   // the proof checker sees exactly what the solver will propagate on.
-  if (proof_log_ && strengthened) {
-    proof_log_->push_back(add_scratch_);
+  if (proof_log_ && out < n) {
+    proof_log_->emplace_back(buf, buf + out);
   }
-  if (add_scratch_.empty()) {
+  if (out == 0) {
     ok_ = false;
     return false;
   }
-  if (add_scratch_.size() == 1) {
-    UncheckedEnqueue(add_scratch_[0], kNoClause);
+  if (out == 1) {
+    // A unit propagates over every binary loaded so far, so the load
+    // buffer becomes the frozen CSR first.
+    FinishLoad();
+    UncheckedEnqueue(buf[0], kNoClause);
     ok_ = (Propagate() == kNoClause);
     if (!ok_ && proof_log_) proof_log_->push_back(Clause{});
     return ok_;
   }
-  if (add_scratch_.size() == 2) {
-    AttachBinary(add_scratch_[0], add_scratch_[1]);
+  if (out == 2) {
+    if (loading_) {
+      bin_load_.push_back(buf[0]);
+      bin_load_.push_back(buf[1]);
+      ++num_binary_clauses_;
+    } else {
+      AttachBinary(buf[0], buf[1]);
+    }
     return true;
   }
-  const ClauseRef cref = AllocClause(add_scratch_, /*learnt=*/false);
+  const ClauseRef cref = AllocClause(buf, out, /*learnt=*/false);
   clauses_.push_back(cref);
   AttachClause(cref);
   return true;
+}
+
+void Solver::ReserveClauses(std::uint64_t n) {
+  // Every clause of the hint could be a binary; capacity the stream never
+  // writes costs address space only, and FinishLoad releases it.
+  if (loading_) bin_load_.reserve(bin_load_.size() + 2 * n);
+}
+
+void Solver::FinishLoad() {
+  if (!loading_) return;
+  loading_ = false;
+  // Nothing reaches the frozen range or the overflow lists while loading
+  // (every offset is still 0), so the CSR is built from the buffer alone:
+  // binary (a \/ b) puts b in list ~a and a in list ~b. One stable
+  // counting sort: count each list, turn the counts into list ends, then
+  // place from the back of the buffer to the front, so every list keeps
+  // emission order — the order the per-literal lists had when each binary
+  // was appended on arrival.
+  assert(bin_flat_.empty() && bin_overflow_entries_ == 0);
+  const std::size_t num_codes = 2 * static_cast<std::size_t>(num_vars());
+  for (const Lit l : bin_load_) {
+    ++bin_offsets_[static_cast<std::size_t>((~l).code())];
+  }
+  std::uint32_t end = 0;
+  for (std::size_t code = 0; code < num_codes; ++code) {
+    end += bin_offsets_[code];
+    bin_offsets_[code] = end;
+  }
+  bin_offsets_[num_codes] = end;
+  bin_flat_.resize(bin_load_.size());
+  for (std::size_t i = bin_load_.size(); i > 0; i -= 2) {
+    const Lit a = bin_load_[i - 2];
+    const Lit b = bin_load_[i - 1];
+    bin_flat_[--bin_offsets_[static_cast<std::size_t>((~a).code())]] = b;
+    bin_flat_[--bin_offsets_[static_cast<std::size_t>((~b).code())]] = a;
+  }
+  bin_load_ = std::vector<Lit>();
 }
 
 bool Solver::AddCnf(const Cnf& cnf) {
@@ -424,6 +492,7 @@ std::size_t Solver::ClauseMemoryBytes() const {
   std::size_t bytes = arena_.capacity() * sizeof(std::uint32_t);
   bytes += bin_offsets_.capacity() * sizeof(std::uint32_t);
   bytes += bin_flat_.capacity() * sizeof(Lit);
+  bytes += bin_load_.capacity() * sizeof(Lit);
   for (const auto& list : bin_overflow_) {
     bytes += list.capacity() * sizeof(Lit);
   }
@@ -452,6 +521,7 @@ void Solver::UnassignForBacktrack(Lit p) {
 }
 
 Solver::ClauseRef Solver::Propagate() {
+  assert(!loading_ && "binaries still in the load buffer");
   // The blocker toggle is hoisted to a template parameter so the default
   // path carries no per-watcher branch for it.
   return options_.use_blocking_literals ? PropagateImpl<true>()
@@ -926,6 +996,7 @@ void Solver::CompactBinaryLayer(bool drop_satisfied) {
   // satisfied for good once p is false or q is true; each clause has one
   // entry in each of its two lists and both vanish under the same test.
   assert(!drop_satisfied || DecisionLevel() == 0);
+  assert(!loading_);
   const std::size_t num_codes = 2 * static_cast<std::size_t>(num_vars());
   std::vector<Lit> new_flat;
   new_flat.reserve(bin_flat_.size() + bin_overflow_entries_);
@@ -1286,7 +1357,8 @@ LBool Solver::Search(std::int64_t conflict_budget, const Deadline& deadline,
         AttachBinary(learnt[0], learnt[1]);
         UncheckedEnqueue(learnt[0], BinaryReason(learnt[1]));
       } else {
-        const ClauseRef cref = AllocClause(learnt, /*learnt=*/true);
+        const ClauseRef cref =
+            AllocClause(learnt.data(), learnt.size(), /*learnt=*/true);
         RegisterLearnt(cref, lbd);
         AttachClause(cref);
         BumpClauseActivity(View(cref));
@@ -1543,6 +1615,29 @@ bool Solver::CheckInvariants(std::string* error) const {
   if (overflow_entries != bin_overflow_entries_) {
     return fail("binary overflow entry counter out of sync");
   }
+  // Load buffer: binaries wait there, as (a, b) pairs in emission order,
+  // only while loading — before any unit, so the trail is empty and the
+  // frozen layer holds nothing yet. FinishLoad releases it.
+  if (loading_) {
+    if (!trail_.empty() || !bin_flat_.empty() || overflow_entries != 0) {
+      return fail("binary layer or trail non-empty while loading");
+    }
+  } else if (bin_load_.capacity() != 0) {
+    return fail("load buffer not released after FinishLoad");
+  }
+  if (bin_load_.size() % 2 != 0) {
+    return fail("load buffer holds half a binary clause");
+  }
+  for (std::size_t i = 0; i < bin_load_.size(); i += 2) {
+    const Lit a = bin_load_[i];
+    const Lit b = bin_load_[i + 1];
+    if (!a.IsValid() || static_cast<std::size_t>(b.var()) >= n ||
+        !(a < b) || a == ~b) {
+      return fail("load buffer pair " + std::to_string(i / 2) +
+                  " is not a sorted, non-tautological binary");
+    }
+  }
+  binary_entries += bin_load_.size();
   if (binary_entries != 2 * num_binary_clauses_) {
     return fail("binary implication entries (" +
                 std::to_string(binary_entries) +
@@ -1664,6 +1759,7 @@ SolveResult Solver::SolveWithAssumptions(const std::vector<Lit>& assumptions,
   conflict_under_assumptions_ = false;
   assumptions_ = assumptions;
   if (!ok_) return SolveResult::kUnsat;
+  FinishLoad();
 
   max_learnts_ =
       std::max(1000.0, static_cast<double>(clauses_.size() +

@@ -17,9 +17,11 @@
 // watch lists in Propagate — a whole binary pass touches no clause memory.
 // The lists live in a single CSR-style array (offsets + one flat literal
 // buffer) compacted at restart boundaries, with small per-literal overflow
-// vectors absorbing learnts between compactions. The reason for a binary
-// implication is the packed other literal (see kBinaryReasonBit), not a
-// clause reference, and binary learnts are permanent (exempt from
+// vectors absorbing learnts between compactions. Binaries added before the
+// first search wait in one flat load buffer in emission order, which one
+// stable counting sort turns into the CSR (FinishLoad). The reason for a
+// binary implication is the packed other literal (see kBinaryReasonBit),
+// not a clause reference, and binary learnts are permanent (exempt from
 // LBD-driven deletion).
 //
 // Two option presets mirror the paper's two solvers:
@@ -249,6 +251,19 @@ class Solver {
   /// Returns false if the formula became trivially unsatisfiable.
   bool AddCnf(const Cnf& cnf);
 
+  /// Capacity hint: about `n` more clauses are coming. Before the first
+  /// FinishLoad it reserves the binary load buffer; afterwards a no-op.
+  void ReserveClauses(std::uint64_t n);
+
+  /// Ends the load phase: the binaries added so far, which wait in a flat
+  /// buffer in emission order, become the frozen CSR of the binary layer
+  /// (every implication list in the order the clauses arrived) and the
+  /// buffer is released. Later binaries go to the overflow lists. Runs
+  /// implicitly before the first unit clause, solve or retirement, so
+  /// calling it is only needed to release the buffer early (SolverSink's
+  /// Finish does). Idempotent.
+  void FinishLoad();
+
   /// Runs the CDCL search. `deadline` bounds wall-clock time; `stop`, when
   /// non-null, aborts as soon as it becomes true (portfolio cancellation).
   SolveResult Solve(Deadline deadline = Deadline(),
@@ -291,7 +306,7 @@ class Solver {
   bool okay() const { return ok_; }
 
   /// Approximate heap footprint of the clause storage in bytes: arena,
-  /// binary-implication layer (CSR + overflow), and watch lists
+  /// binary-implication layer (load buffer, CSR + overflow), and watch lists
   /// (capacities, not sizes). Basis for the collector-vs-direct
   /// peak-memory comparison in the benches.
   std::size_t ClauseMemoryBytes() const;
@@ -300,7 +315,8 @@ class Solver {
   /// array sizes, trail/decision-level well-formedness, reason soundness
   /// (the implied literal is true, all others false at earlier-or-equal
   /// levels), binary-layer symmetry (every implication has its mirror and
-  /// the entry count matches num_binary_clauses_), watch-list <-> arena
+  /// the entry count, load buffer included, matches num_binary_clauses_;
+  /// the load buffer exists only while loading), watch-list <-> arena
   /// agreement (every live clause is watched on exactly its first two
   /// literals, every watcher points at a live clause, and every cached
   /// blocking literal is a literal of its clause — a stale watcher or
@@ -477,7 +493,7 @@ class Solver {
                                : learnts_local_;
   }
 
-  ClauseRef AllocClause(const Clause& lits, bool learnt);
+  ClauseRef AllocClause(const Lit* lits, std::size_t size, bool learnt);
   void FreeClause(ClauseRef cref);
   void AttachClause(ClauseRef cref);
   void DetachClause(ClauseRef cref);
@@ -572,6 +588,11 @@ class Solver {
   // empty) overflow lists.
   std::vector<std::uint8_t> bin_overflow_nonempty_;
   std::uint64_t bin_overflow_entries_ = 0;
+  // Load phase (until FinishLoad): input binaries are appended here as
+  // (a, b) pairs in emission order instead of to the per-literal lists;
+  // the frozen range and the overflow lists stay empty meanwhile.
+  bool loading_ = true;
+  std::vector<Lit> bin_load_;
   std::uint64_t num_binary_clauses_ = 0;
   Lit binary_conflict_[2] = {kUndefLit, kUndefLit};
 

@@ -406,6 +406,31 @@ TEST(RoutingSessionTest, DeltasWithoutSolvesKeepClauseMemoryBounded) {
       << session.solver().ClauseMemoryBytes();
 }
 
+// Every re-route takes a fresh selector, past the pool reserved at open
+// after the first one; the solver then grows its per-variable arrays
+// geometrically instead of moving them on every call. Thousands of
+// re-routes later the solver state is still consistent and the session
+// still answers.
+TEST(RoutingSessionTest, ReroutesPastTheSelectorPoolKeepInvariants) {
+  const graph::Graph g = McncConflictGraph("alu2");
+  const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
+  RoutingSession session(g, peak);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const int opened_vars = session.solver().num_vars();
+
+  constexpr int kReroutes = 3000;
+  for (int i = 0; i < kReroutes; ++i) {
+    const VertexId net = i % g.num_vertices();
+    ASSERT_TRUE(session.RipUp(net)) << session.error();
+    ASSERT_TRUE(session.Reroute(net, g.Neighbors(net))) << session.error();
+  }
+  EXPECT_EQ(session.solver().num_vars(), opened_vars + kReroutes);
+  std::string error;
+  EXPECT_TRUE(session.solver().CheckInvariants(&error)) << error;
+  EXPECT_EQ(session.Solve(peak).status, SolveResult::kSat);
+  EXPECT_TRUE(session.solver().CheckInvariants(&error)) << error;
+}
+
 // ---------------------------------------------------------------------------
 // Randomized scripted-delta equivalence sweep: after every delta the
 // session's verdict must match a fresh extract+encode+solve of its own

@@ -5,8 +5,16 @@
 #include <optional>
 #include <thread>
 
+#include "encode/csp_to_cnf.h"
+#include "encode/registry.h"
+#include "flow/conflict_graph.h"
+#include "fpga/device_graph.h"
+#include "netlist/mcnc_suite.h"
+#include "route/global_router.h"
 #include "sat/brute_force.h"
+#include "sat/clause_sink.h"
 #include "sat/solver.h"
+#include "symmetry/symmetry.h"
 #include "test_util.h"
 
 namespace satfr::sat {
@@ -128,6 +136,90 @@ TEST(SolverTest, ModelSatisfiesFormula) {
       EXPECT_TRUE(cnf.IsSatisfiedBy(solver.model()));
     }
   }
+}
+
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
+/// FNV-1a mix of the search signature: what a solve decided, derived and
+/// propagated. Equal signatures mean the same search.
+void MixSearchSignature(SolveResult status, const SolverStats& stats,
+                        std::uint64_t* hash) {
+  const auto mix = [hash](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      *hash ^= (value >> (8 * byte)) & 0xffu;
+      *hash *= 1099511628211ull;
+    }
+  };
+  mix(static_cast<std::uint64_t>(status));
+  mix(stats.conflicts);
+  mix(stats.decisions);
+  mix(stats.propagations);
+  mix(stats.binary_propagations);
+}
+
+// Pins the search on Table-2 cells at W*-1 (UNSAT) and W* (SAT) under each
+// paper strategy, with the formula loaded both by streaming the encoder
+// into the solver and by AddCnf of the materialized CNF. A change to how
+// clauses are loaded or stored must leave every search as it was; a
+// change that alters the search must update the recorded value on purpose.
+TEST(SolverTest, SearchMatchesRecordedDigest) {
+  struct Cell {
+    const char* circuit;
+    int min_width;  // W*
+  };
+  struct Strategy {
+    const char* encoding;
+    symmetry::Heuristic heuristic;
+  };
+  const Cell cells[] = {{"alu2", 6}, {"too_large", 8}};
+  const Strategy strategies[] = {
+      {"muldirect", symmetry::Heuristic::kS1},
+      {"ITE-linear-2+muldirect", symmetry::Heuristic::kS1},
+      {"muldirect", symmetry::Heuristic::kB1}};
+  std::uint64_t hash = kFnvOffsetBasis;
+  for (const Cell& cell : cells) {
+    const netlist::McncBenchmark bench =
+        netlist::GenerateMcncBenchmark(cell.circuit);
+    const fpga::Arch arch(bench.params.grid_size);
+    const fpga::DeviceGraph device(arch);
+    const graph::Graph g = flow::BuildConflictGraph(
+        arch, route::RouteGlobally(device, bench.netlist, bench.placement));
+    for (const Strategy& strategy : strategies) {
+      const encode::EncodingSpec& spec = encode::GetEncoding(strategy.encoding);
+      for (const int width : {cell.min_width - 1, cell.min_width}) {
+        const std::vector<graph::VertexId> sequence =
+            symmetry::SymmetrySequence(g, width, strategy.heuristic);
+        const std::string label = std::string(cell.circuit) + " " +
+                                  strategy.encoding + "/" +
+                                  symmetry::ToString(strategy.heuristic) +
+                                  " W=" + std::to_string(width);
+
+        Solver streamed(SolverOptions::SiegeLike());
+        SolverSink sink(streamed);
+        encode::EncodeColoringToSink(g, width, spec, sequence, sink);
+        ASSERT_TRUE(sink.Finish()) << label;
+        const SolveResult streamed_status = streamed.Solve();
+        EXPECT_EQ(streamed_status, width < cell.min_width ? SolveResult::kUnsat
+                                                          : SolveResult::kSat)
+            << label;
+
+        Solver loaded(SolverOptions::SiegeLike());
+        ASSERT_TRUE(loaded.AddCnf(
+            encode::EncodeColoring(g, width, spec, sequence).cnf))
+            << label;
+        const SolveResult loaded_status = loaded.Solve();
+
+        std::uint64_t streamed_hash = kFnvOffsetBasis;
+        std::uint64_t loaded_hash = kFnvOffsetBasis;
+        MixSearchSignature(streamed_status, streamed.stats(), &streamed_hash);
+        MixSearchSignature(loaded_status, loaded.stats(), &loaded_hash);
+        EXPECT_EQ(streamed_hash, loaded_hash) << label;
+        MixSearchSignature(streamed_status, streamed.stats(), &hash);
+        MixSearchSignature(loaded_status, loaded.stats(), &hash);
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0xf9925820481b46edull) << "0x" << std::hex << hash;
 }
 
 TEST(SolverTest, PresetLookupKnowsExactlyTheTwoPresets) {
