@@ -320,30 +320,7 @@ void BM_SolverRoutingUnsat(benchmark::State& state, const std::string& name,
                     std::string("ITE-linear-2+muldirect"), options)         \
       ->Unit(benchmark::kMillisecond)
 
-// Per-feature ablation ladder for the BCP overhaul (ISSUE 5): each config
-// switches one more hot-path feature on, so adjacent columns isolate the
-// contribution of blocking literals, arena GC, the tiered learnt database,
-// and restart-time vivification. `default` (above) equals `abl_vivify`.
-sat::SolverOptions AblationOptions(bool blockers, bool gc, bool tiers,
-                                   bool vivify) {
-  sat::SolverOptions options;
-  options.use_blocking_literals = blockers;
-  options.gc_enabled = gc;
-  options.use_tiers = tiers;
-  options.vivify = vivify;
-  return options;
-}
-
 SATFR_ROUTING_UNSAT_SUITE(default, sat::SolverOptions());
-SATFR_ROUTING_UNSAT_SUITE(abl_none, AblationOptions(false, false, false,
-                                                    false));
-SATFR_ROUTING_UNSAT_SUITE(abl_blocker, AblationOptions(true, false, false,
-                                                       false));
-SATFR_ROUTING_UNSAT_SUITE(abl_gc, AblationOptions(true, true, false, false));
-SATFR_ROUTING_UNSAT_SUITE(abl_tiers, AblationOptions(true, true, true,
-                                                     false));
-SATFR_ROUTING_UNSAT_SUITE(abl_vivify, AblationOptions(true, true, true,
-                                                      true));
 
 }  // namespace
 

@@ -4,16 +4,14 @@
 // MiniSat", with MiniSat holding a small edge on satisfiable formulas.
 // Runs all 14 evaluated encodings at W = W* with heuristic s1 under both
 // solver presets and reports per-encoding totals.
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
-#include "encode/csp_to_cnf.h"
+#include "encode/registry.h"
 #include "flow/detailed_router.h"
 #include "flow/track_checker.h"
-#include "sat/walksat.h"
 
 int main() {
   using namespace satfr;
@@ -30,8 +28,8 @@ int main() {
     instances.push_back(bench::LoadInstance(name));
   }
 
-  std::printf("%-26s  %14s  %14s  %14s\n", "encoding", "siege-like",
-              "minisat-like", "walksat");
+  std::printf("%-26s  %14s  %14s\n", "encoding", "siege-like",
+              "minisat-like");
   for (const std::string& encoding_name :
        encode::EvaluatedEncodingNames()) {
     std::printf("%-26s", encoding_name.c_str());
@@ -71,41 +69,11 @@ int main() {
       std::printf("  %14s", bench::TimeCell(total, any_timeout).c_str());
       std::fflush(stdout);
     }
-    // Extension column: stochastic local search (incomplete, SAT-only),
-    // the solver family the paper's local-search citations use.
-    {
-      double total = 0.0;
-      bool any_timeout = false;
-      for (const bench::Instance& inst : instances) {
-        const auto sequence = symmetry::SymmetrySequence(
-            inst.conflict, inst.min_width, symmetry::Heuristic::kS1);
-        const encode::EncodedColoring enc =
-            encode::EncodeColoring(inst.conflict, inst.min_width,
-                                   encode::GetEncoding(encoding_name),
-                                   sequence);
-        // Local search gets a small fixed budget: it either cracks the
-        // satisfiable instance quickly or is not competitive on it.
-        const double walksat_budget = std::min(timeout, 3.0);
-        Stopwatch watch;
-        sat::WalkSat walksat(enc.cnf);
-        const sat::SolveResult result =
-            walksat.Solve(Deadline::After(walksat_budget));
-        if (result == sat::SolveResult::kSat) {
-          total += watch.Seconds();
-        } else {
-          any_timeout = true;
-          total += walksat_budget;
-        }
-      }
-      std::printf("  %14s", bench::TimeCell(total, any_timeout).c_str());
-      std::fflush(stdout);
-    }
     std::printf("\n");
   }
   std::printf(
       "\nPaper reference: satisfiable formulas were solved in usually a "
       "fraction of a second\nby either solver, with MiniSat slightly "
-      "ahead. (The walksat column is an extension:\nstochastic local "
-      "search is incomplete and only applicable to the routable side.)\n");
+      "ahead.\n");
   return 0;
 }

@@ -33,12 +33,10 @@ class SolverInvariantsPass final : public AnalysisPass {
   }
   void Run(const AnalysisInput& input, DiagnosticSink& sink) const override {
     sat::SolverOptions options;
-    // Hostile database settings: collect the arena as often as legal, keep
-    // vivification and the tier machinery hot, so relocation bugs surface.
+    // Hostile database settings: collect the arena as often as legal and
+    // vivify at every restart, so relocation bugs surface.
     options.gc_min_arena_words = 1u << 8;
-    options.vivify = true;
     options.vivify_interval = 1;
-    options.use_tiers = true;
     options.restart_base = 32;
 
     sat::Solver solver(options);

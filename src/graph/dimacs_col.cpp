@@ -1,6 +1,7 @@
 #include "graph/dimacs_col.h"
 
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -44,7 +45,12 @@ std::optional<Graph> ParseDimacsCol(std::istream& in) {
       } catch (const std::exception&) {
         return std::nullopt;
       }
-      if (declared_vertices < 0) return std::nullopt;
+      // A count beyond VertexId would wrap onto a small graph that then
+      // accepts the out-of-range `e` ids bounded by it.
+      if (declared_vertices < 0 ||
+          declared_vertices > std::numeric_limits<VertexId>::max()) {
+        return std::nullopt;
+      }
       g = Graph(static_cast<VertexId>(declared_vertices));
     } else if (tokens[0] == "e") {
       if (declared_vertices < 0 || tokens.size() != 3) return std::nullopt;

@@ -18,10 +18,6 @@ struct Strategy {
   std::string encoding_name;
   symmetry::Heuristic heuristic = symmetry::Heuristic::kNone;
   sat::SolverOptions solver = sat::SolverOptions::SiegeLike();
-  /// Run WalkSAT local search instead of CDCL. Incomplete: such a strategy
-  /// can win SAT races but never returns UNSAT, so a portfolio aimed at
-  /// unroutability proofs must also contain a CDCL member.
-  bool use_walksat = false;
 
   /// "encoding/heuristic" label for tables.
   std::string DisplayName() const;
@@ -50,7 +46,7 @@ struct PortfolioResult {
   double wall_seconds = 0.0;
   /// Per-strategy status, for reporting.
   std::vector<sat::SolveResult> statuses;
-  /// Per-strategy solver stats (empty entries for WalkSAT strategies).
+  /// Per-strategy solver stats.
   std::vector<sat::SolverStats> strategy_stats;
 };
 

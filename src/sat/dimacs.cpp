@@ -1,12 +1,19 @@
 #include "sat/dimacs.h"
 
 #include <fstream>
+#include <limits>
 #include <ostream>
 #include <sstream>
 
 #include "common/strings.h"
 
 namespace satfr::sat {
+
+namespace {
+// Counts and literals beyond int cannot be represented; a cast would wrap
+// them onto small, valid-looking values.
+constexpr long kIntMax = std::numeric_limits<int>::max();
+}  // namespace
 
 void WriteDimacs(const Cnf& cnf, std::ostream& out,
                  const std::vector<std::string>& comments) {
@@ -52,7 +59,10 @@ std::optional<Cnf> ParseDimacs(std::istream& in) {
       } catch (const std::exception&) {
         return std::nullopt;
       }
-      if (declared_vars < 0 || declared_clauses < 0) return std::nullopt;
+      if (declared_vars < 0 || declared_clauses < 0 ||
+          declared_vars > kIntMax || declared_clauses > kIntMax) {
+        return std::nullopt;
+      }
       cnf.EnsureVars(static_cast<int>(declared_vars));
       continue;
     }
@@ -64,6 +74,7 @@ std::optional<Cnf> ParseDimacs(std::istream& in) {
       } catch (const std::exception&) {
         return std::nullopt;
       }
+      if (value < -kIntMax || value > kIntMax) return std::nullopt;
       if (value == 0) {
         cnf.AddClause(std::move(current));
         current.clear();

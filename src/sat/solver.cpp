@@ -17,6 +17,10 @@ namespace {
 // SimplifyAtLevelZero rescans the whole database; only worth it once this
 // many new top-level facts have accumulated since the previous scan.
 constexpr std::int64_t kSimplifyMinNewFacts = 24;
+// The local-tier size limit grows by this factor at every reduction.
+constexpr double kLearntSizeInc = 1.15;
+// Propagations one VivifyRound may spend.
+constexpr std::uint64_t kVivifyPropagationBudget = 1 << 14;
 }  // namespace
 
 SolverStats SolverStats::Since(const SolverStats& baseline) const {
@@ -96,7 +100,6 @@ const char* ToString(SolveResult result) {
 SolverOptions SolverOptions::MiniSatLike() {
   SolverOptions opts;
   opts.var_decay = 0.95;
-  opts.clause_decay = 0.999;
   opts.random_decision_freq = 0.0;
   opts.luby_restarts = true;
   opts.restart_base = 100;
@@ -106,7 +109,6 @@ SolverOptions SolverOptions::MiniSatLike() {
 SolverOptions SolverOptions::SiegeLike() {
   SolverOptions opts;
   opts.var_decay = 0.99;
-  opts.clause_decay = 0.999;
   opts.random_decision_freq = 0.02;
   opts.luby_restarts = false;
   opts.restart_base = 512;
@@ -522,14 +524,6 @@ void Solver::UnassignForBacktrack(Lit p) {
 
 Solver::ClauseRef Solver::Propagate() {
   assert(!loading_ && "binaries still in the load buffer");
-  // The blocker toggle is hoisted to a template parameter so the default
-  // path carries no per-watcher branch for it.
-  return options_.use_blocking_literals ? PropagateImpl<true>()
-                                        : PropagateImpl<false>();
-}
-
-template <bool UseBlockers>
-Solver::ClauseRef Solver::PropagateImpl() {
   ClauseRef conflict = kNoClause;
   // Counter deltas stay in registers during the loop and are flushed once
   // at the end — the stats struct is not touched per watcher or literal.
@@ -629,7 +623,7 @@ Solver::ClauseRef Solver::PropagateImpl() {
         __builtin_prefetch(arena_.data() + (in + 1)->cref);
       }
       ++inspected;
-      if (UseBlockers && lit_value[w.blocker.code()] == LBool::kTrue) {
+      if (lit_value[w.blocker.code()] == LBool::kTrue) {
         ++blocked;
         *out++ = w;
         continue;
@@ -641,10 +635,8 @@ Solver::ClauseRef Solver::PropagateImpl() {
       }
       assert(c[1] == false_lit);
       const Lit first = c[0];
-      // With blockers on, first == w.blocker was already tested upfront;
-      // with them off the test must not be short-circuited away.
-      if ((!UseBlockers || first != w.blocker) &&
-          lit_value[first.code()] == LBool::kTrue) {
+      // first == w.blocker was already tested upfront.
+      if (first != w.blocker && lit_value[first.code()] == LBool::kTrue) {
         *out++ = Watcher{w.cref, first};
         continue;
       }
@@ -722,10 +714,10 @@ void Solver::UpdateLearntOnUse(ClauseView c) {
   // not pay an O(size) level walk on every single conflict they feed.
   const bool first_use = !c.used();
   c.SetUsed();
-  if (!options_.use_tiers || !first_use) return;
+  if (!first_use) return;
   // Core clauses cannot improve further and dominate the reason mix on
   // structured instances — skip the recompute for them.
-  if (c.Lbd() <= options_.core_lbd_max) return;
+  if (c.Lbd() <= kCoreLbdMax) return;
   const std::uint32_t lbd = ComputeLbd(c.lits(), c.size());
   if (lbd >= c.Lbd()) return;
   c.Lbd() = lbd;
@@ -1078,21 +1070,19 @@ void Solver::ReduceDb() {
   // Tier2 clauses that went unused since the previous reduction drop to
   // local; the rest get their used bit cleared for the next round. Core
   // clauses are permanent and never scanned.
-  if (options_.use_tiers) {
-    std::size_t keep = 0;
-    for (const ClauseRef cref : learnts_tier2_) {
-      ClauseView c = View(cref);
-      if (!c.used() && !Locked(cref)) {
-        c.SetTier(kTierLocal);
-        learnts_local_.push_back(cref);
-        ++stats_.tier_demotions;
-      } else {
-        c.ClearUsed();
-        learnts_tier2_[keep++] = cref;
-      }
+  std::size_t kept_tier2 = 0;
+  for (const ClauseRef cref : learnts_tier2_) {
+    ClauseView c = View(cref);
+    if (!c.used() && !Locked(cref)) {
+      c.SetTier(kTierLocal);
+      learnts_local_.push_back(cref);
+      ++stats_.tier_demotions;
+    } else {
+      c.ClearUsed();
+      learnts_tier2_[kept_tier2++] = cref;
     }
-    learnts_tier2_.resize(keep);
   }
+  learnts_tier2_.resize(kept_tier2);
   // Order local learnts worst-first: high LBD, then low activity. Binary
   // learnts never reach the arena (they live in the implication layer and
   // are kept forever), so every candidate here has >= 3 literals.
@@ -1125,13 +1115,12 @@ void Solver::ReduceDb() {
     if (!View(cref).deleted()) learnts_local_[keep++] = cref;
   }
   learnts_local_.resize(keep);
-  max_learnts_ *= options_.learnt_size_inc;
+  max_learnts_ *= kLearntSizeInc;
   CollectGarbageIfNeeded();
 }
 
 void Solver::CollectGarbageIfNeeded() {
-  if (!options_.gc_enabled || arena_.empty() ||
-      wasted_words_ * 2 < arena_.size() ||
+  if (arena_.empty() || wasted_words_ * 2 < arena_.size() ||
       arena_.size() < options_.gc_min_arena_words) {
     return;
   }
@@ -1184,18 +1173,16 @@ void Solver::CollectGarbage() {
 
 void Solver::VivifyRound() {
   assert(DecisionLevel() == 0);
-  if (!ok_ || !options_.vivify) return;
+  if (!ok_) return;
   RebucketLearnts();
   if (learnts_tier2_.empty()) return;
   // Budgeted pass over tier2 with a rolling cursor: every clause gets its
   // turn across successive rounds even when one round's propagation budget
   // runs out early.
   const std::uint64_t start = stats_.propagations;
-  const auto budget =
-      static_cast<std::uint64_t>(options_.vivify_propagation_budget);
   std::size_t examined = 0;
   while (examined < learnts_tier2_.size() &&
-         stats_.propagations - start < budget) {
+         stats_.propagations - start < kVivifyPropagationBudget) {
     if (vivify_cursor_ >= learnts_tier2_.size()) vivify_cursor_ = 0;
     const ClauseRef cref = learnts_tier2_[vivify_cursor_++];
     ++examined;
@@ -1786,8 +1773,7 @@ SolveResult Solver::SolveWithAssumptions(const std::vector<Lit>& assumptions,
         std::abort();
       }
     }
-    if (options_.vivify && restarts > 0 &&
-        options_.vivify_interval > 0 &&
+    if (restarts > 0 && options_.vivify_interval > 0 &&
         restarts % options_.vivify_interval == 0) {
       VivifyRound();
       if (!ok_) {

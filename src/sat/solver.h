@@ -54,8 +54,6 @@ const char* ToString(SolveResult result);
 struct SolverOptions {
   // VSIDS decay applied after every conflict.
   double var_decay = 0.99;
-  // Learnt-clause activity decay.
-  double clause_decay = 0.999;
   // Fraction of decisions taken uniformly at random (diversification).
   double random_decision_freq = 0.0;
   // Restart schedule: Luby sequence scaled by restart_base, or geometric
@@ -64,38 +62,21 @@ struct SolverOptions {
   int restart_base = 100;
   double restart_growth = 1.5;
   // Learnt database: allowed size of the *local* tier starts at
-  // learnt_size_factor * #clauses and grows by learnt_size_inc at every
-  // reduction. Core and tier2 clauses do not count against the limit.
+  // learnt_size_factor * #clauses and grows at every reduction. Core and
+  // tier2 clauses do not count against the limit.
   double learnt_size_factor = 1.0 / 3.0;
-  double learnt_size_inc = 1.15;
   // Seed for random decisions / polarities.
   std::uint64_t seed = 91648253;
 
-  // ---- BCP hot-path & database policy (DESIGN.md §10) ----
-  // Consult the cached blocking literal before touching clause memory in
-  // Propagate. Off only for ablation benchmarks.
-  bool use_blocking_literals = true;
-  // Periodic arena compaction in watch-traversal order. A collection runs
-  // when at least half the arena (and at least gc_min_arena_words words)
-  // is dead. Off only for ablation benchmarks.
-  bool gc_enabled = true;
+  // ---- Database policy (DESIGN.md §10) ----
+  // Periodic arena compaction in watch-traversal order runs when at least
+  // half the arena (and at least gc_min_arena_words words) is dead.
   std::uint32_t gc_min_arena_words = 1u << 16;
-  // Tiered learnt database: learnts with LBD <= core_lbd_max are kept
-  // forever, LBD <= tier2_lbd_max enter tier2 (demoted to local when they
-  // go unused between reductions), the rest are local and aggressively
-  // recycled. With use_tiers off every learnt is local (the pre-tier
-  // activity/LBD policy).
-  bool use_tiers = true;
-  std::uint32_t core_lbd_max = 2;
-  std::uint32_t tier2_lbd_max = 6;
   // Restart-boundary inprocessing: every vivify_interval-th restart, tier2
   // clauses are vivified (re-derived under unit propagation and shortened
   // when the database already implies a subclause) under a propagation
-  // budget. Level-0 strengthening (dropping falsified literals / deleting
-  // clauses subsumed by the trail) rides on the same flag.
-  bool vivify = true;
+  // budget. 0 never vivifies.
   int vivify_interval = 8;
-  std::int64_t vivify_propagation_budget = 1 << 14;
 
   // Run CheckInvariants at every restart boundary and abort on a violation.
   // Debug aid for solver changes; off by default (full scans are O(arena)).
@@ -481,10 +462,17 @@ class Solver {
   int DecisionLevel() const { return static_cast<int>(trail_lim_.size()); }
   int LevelOf(Var v) const { return level_[static_cast<std::size_t>(v)]; }
 
-  std::uint32_t TierForLbd(std::uint32_t lbd) const {
-    if (!options_.use_tiers) return kTierLocal;
-    if (lbd <= options_.core_lbd_max) return kTierCore;
-    if (lbd <= options_.tier2_lbd_max) return kTierTwo;
+  // Learnts with LBD <= kCoreLbdMax are kept forever, LBD <= kTier2LbdMax
+  // enter tier2 (demoted to local when they go unused between reductions),
+  // the rest are local and aggressively recycled.
+  static constexpr std::uint32_t kCoreLbdMax = 2;
+  static constexpr std::uint32_t kTier2LbdMax = 6;
+  // Learnt-clause activity decay.
+  static constexpr double kClauseDecay = 0.999;
+
+  static std::uint32_t TierForLbd(std::uint32_t lbd) {
+    if (lbd <= kCoreLbdMax) return kTierCore;
+    if (lbd <= kTier2LbdMax) return kTierTwo;
     return kTierLocal;
   }
   std::vector<ClauseRef>& TierList(std::uint32_t tier) {
@@ -506,8 +494,6 @@ class Solver {
   void UncheckedEnqueue(Lit p, ClauseRef from);
   void UnassignForBacktrack(Lit p);
   ClauseRef Propagate();
-  template <bool UseBlockers>
-  ClauseRef PropagateImpl();
   void Analyze(ClauseRef confl, Clause& out_learnt, int& out_btlevel,
                std::uint32_t& out_lbd);
   bool LitRedundant(Lit p, std::uint32_t abstract_levels);
@@ -523,7 +509,7 @@ class Solver {
   void BumpVarActivity(Var v);
   void DecayVarActivity() { var_inc_ /= options_.var_decay; }
   void BumpClauseActivity(ClauseView c);
-  void DecayClauseActivity() { clause_inc_ /= options_.clause_decay; }
+  void DecayClauseActivity() { clause_inc_ /= kClauseDecay; }
   // Recomputes the LBD of a learnt clause touched by conflict analysis and
   // promotes it towards core when the value improved (tag-only; the list
   // move happens at the next RebucketLearnts).

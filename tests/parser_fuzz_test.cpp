@@ -98,6 +98,33 @@ TEST(ParserFuzzTest, DimacsColSurvivesGarbage) {
   }
 }
 
+// Counts and ids beyond int must be rejected, not cast down: the cast wraps
+// them onto small values (the first input would read as a 2-variable CNF
+// holding the clause (x0)). None of these inputs allocates anything large.
+TEST(ParserFuzzTest, DimacsCnfRejectsValuesBeyondInt) {
+  for (const char* text : {
+           "p cnf 4294967298 1\n4294967297 0\n",
+           "p cnf 4294967296 0\n",
+           "p cnf 2 4294967297\n1 0\n",
+           "p cnf 2 1\n4294967297 0\n",
+           "p cnf 2 1\n-9223372036854775808 0\n",
+       }) {
+    EXPECT_FALSE(sat::ParseDimacsString(text).has_value()) << text;
+  }
+  EXPECT_TRUE(sat::ParseDimacsString("p cnf 2 1\n-2 1 0\n").has_value());
+}
+
+TEST(ParserFuzzTest, DimacsColRejectsValuesBeyondInt) {
+  for (const char* text : {
+           "p edge 4294967298 1\ne 4294967297 1\n",
+           "p edge 4294967296 0\n",
+           "p edge 2 1\ne 4294967297 1\n",
+       }) {
+    EXPECT_FALSE(graph::ParseDimacsColString(text).has_value()) << text;
+  }
+  EXPECT_TRUE(graph::ParseDimacsColString("p edge 2 1\ne 2 1\n").has_value());
+}
+
 TEST(ParserFuzzTest, NetlistSurvivesMutation) {
   const char* valid =
       "satfr_netlist 1\n"

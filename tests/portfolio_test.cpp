@@ -112,41 +112,6 @@ TEST(PortfolioTest, TimeoutYieldsNoWinner) {
   }
 }
 
-TEST(PortfolioTest, WalkSatStrategyWinsSatRaces) {
-  Rng rng(555);
-  const graph::Graph g = testutil::RandomGraph(rng, 15, 0.3);
-  const int width = graph::NumColorsUsed(graph::DsaturColoring(g));
-  std::vector<Strategy> strategies(2);
-  strategies[0].encoding_name = "muldirect";
-  strategies[0].heuristic = symmetry::Heuristic::kS1;
-  strategies[0].use_walksat = true;
-  strategies[1].encoding_name = "ITE-linear-2+muldirect";
-  strategies[1].heuristic = symmetry::Heuristic::kS1;
-  const PortfolioResult result = RunPortfolio(g, width, strategies, 30.0);
-  ASSERT_GE(result.winner, 0);
-  EXPECT_EQ(result.result.status, sat::SolveResult::kSat);
-  EXPECT_TRUE(g.IsProperColoring(result.result.tracks, width));
-  EXPECT_NE(strategies[0].DisplayName().find("walksat"),
-            std::string::npos);
-}
-
-TEST(PortfolioTest, WalkSatNeverWinsUnsatRaces) {
-  Rng rng(556);
-  const graph::Graph g = testutil::RandomGraph(rng, 10, 0.5);
-  const int chi = graph::ChromaticNumberExact(g);
-  ASSERT_GE(chi, 2);
-  std::vector<Strategy> strategies(2);
-  strategies[0].encoding_name = "muldirect";
-  strategies[0].heuristic = symmetry::Heuristic::kS1;
-  strategies[0].use_walksat = true;  // cannot answer UNSAT
-  strategies[1].encoding_name = "ITE-linear-2+muldirect";
-  strategies[1].heuristic = symmetry::Heuristic::kS1;
-  const PortfolioResult result =
-      RunPortfolio(g, chi - 1, strategies, 60.0);
-  ASSERT_EQ(result.winner, 1);  // the CDCL member must deliver the proof
-  EXPECT_EQ(result.result.status, sat::SolveResult::kUnsat);
-}
-
 TEST(PortfolioTest, LosersAreCancelledQuickly) {
   // One fast strategy and the rest on a hard instance: wall time must be
   // close to the fast strategy's, far under any hard-solve time.

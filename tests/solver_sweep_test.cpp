@@ -1,10 +1,11 @@
-// Equivalence sweep across the solver's database features: toggling
-// blocking literals, arena GC, learnt tiers, and vivification must never
-// change a verdict, and every SAT model must decode to a valid track
-// assignment. The sweep runs every evaluated encoding under each symmetry
-// heuristic on a small MCNC-derived routing instance, at the minimum
-// routable width (SAT side) and one track below it (UNSAT side) — the same
-// W / W*-1 pair the paper's experiments use.
+// Equivalence sweep across the solver configurations that ship (the
+// default, both paper presets) and two database-hostile settings (arena GC
+// and vivification as often as legal): none may change a verdict, and every
+// SAT model must decode to a valid track assignment. The sweep runs every
+// evaluated encoding under each symmetry heuristic on a small MCNC-derived
+// routing instance, at the minimum routable width (SAT side) and one track
+// below it (UNSAT side) — the same W / W*-1 pair the paper's experiments
+// use.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,15 +30,7 @@ struct SweepConfig {
 
 std::vector<SweepConfig> SweepConfigs() {
   std::vector<SweepConfig> configs;
-  {
-    SweepConfig c{"default", sat::SolverOptions{}};
-    configs.push_back(c);
-  }
-  {
-    SweepConfig c{"no-blockers", sat::SolverOptions{}};
-    c.options.use_blocking_literals = false;
-    configs.push_back(c);
-  }
+  configs.push_back({"default", sat::SolverOptions{}});
   {
     // The default GC threshold never fires on an instance this small, so
     // the GC leg lowers it until collections actually happen.
@@ -46,24 +39,12 @@ std::vector<SweepConfig> SweepConfigs() {
     configs.push_back(c);
   }
   {
-    SweepConfig c{"no-gc-no-tiers", sat::SolverOptions{}};
-    c.options.gc_enabled = false;
-    c.options.use_tiers = false;
-    configs.push_back(c);
-  }
-  {
     SweepConfig c{"eager-vivify", sat::SolverOptions{}};
     c.options.vivify_interval = 1;
     configs.push_back(c);
   }
-  {
-    SweepConfig c{"bare", sat::SolverOptions{}};
-    c.options.use_blocking_literals = false;
-    c.options.gc_enabled = false;
-    c.options.use_tiers = false;
-    c.options.vivify = false;
-    configs.push_back(c);
-  }
+  configs.push_back({"siege", sat::SolverOptions::SiegeLike()});
+  configs.push_back({"minisat", sat::SolverOptions::MiniSatLike()});
   return configs;
 }
 
@@ -87,7 +68,7 @@ bool ValidColoring(const graph::Graph& g, const std::vector<int>& colors,
   return true;
 }
 
-TEST(SolverSweepTest, FeatureTogglesPreserveVerdictsAcrossEncodings) {
+TEST(SolverSweepTest, ShippedConfigsPreserveVerdictsAcrossEncodings) {
   const netlist::McncBenchmark bench = netlist::GenerateMcncBenchmark("tiny");
   const fpga::Arch arch(bench.params.grid_size);
   const fpga::DeviceGraph device(arch);

@@ -30,8 +30,7 @@
 // Common options (an unknown --encoding, --sym or --solver name exits 2):
 //   --encoding NAME   (default ITE-linear-2+muldirect; see `satfr encodings`)
 //   --sym b1|s1|none  (default s1)
-//   --solver siege|minisat  (default siege); `solve` also takes walksat
-//                     (SAT-only local search)
+//   --solver siege|minisat  (default siege)
 //   --timeout SECONDS (default 300)
 //   --width N
 //   --selfcheck       run the satlint pipeline over every encoded CNF
@@ -122,7 +121,6 @@
 #include "sat/clause_sink.h"
 #include "sat/dimacs.h"
 #include "sat/solver.h"
-#include "sat/walksat.h"
 #include "service/routing_service.h"
 #include "symmetry/symmetry.h"
 
@@ -134,8 +132,7 @@ struct CliOptions {
   std::string encoding = "ITE-linear-2+muldirect";
   std::string sym = "s1";
   std::string solver = "siege";
-  // The three names above, resolved by ParseArgs (`solver_options` stays
-  // the default for `solve --solver walksat`).
+  // The three names above, resolved by ParseArgs.
   encode::EncodingSpec encoding_spec;
   symmetry::Heuristic heuristic = symmetry::Heuristic::kS1;
   sat::SolverOptions solver_options;
@@ -165,7 +162,7 @@ struct CliOptions {
   std::exit(2);
 }
 
-CliOptions ParseArgs(const std::string& command, int argc, char** argv) {
+CliOptions ParseArgs(int argc, char** argv) {
   CliOptions opts;
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -247,13 +244,10 @@ CliOptions ParseArgs(const std::string& command, int argc, char** argv) {
   } else {
     unknown_name("--sym", opts.sym, "b1, s1 or none");
   }
-  const bool walksat_allowed = command == "solve";
   if (const auto preset = sat::FindSolverPreset(opts.solver)) {
     opts.solver_options = *preset;
-  } else if (!walksat_allowed || opts.solver != "walksat") {
-    unknown_name("--solver", opts.solver,
-                 walksat_allowed ? "siege, minisat or walksat"
-                                 : "siege or minisat");
+  } else {
+    unknown_name("--solver", opts.solver, "siege or minisat");
   }
   return opts;
 }
@@ -570,13 +564,6 @@ int CmdSolve(const CliOptions& opts) {
     return 2;
   }
   const Deadline deadline = Deadline::After(opts.timeout);
-  if (opts.solver == "walksat") {
-    sat::WalkSat walksat(*cnf);
-    const auto result = walksat.Solve(deadline);
-    std::printf("%s (%llu flips)\n", sat::ToString(result),
-                static_cast<unsigned long long>(walksat.stats().flips));
-    return result == sat::SolveResult::kUnknown ? 1 : 0;
-  }
   sat::Solver solver(opts.solver_options);
   sat::SolveResult result = sat::SolveResult::kUnsat;
   if (solver.AddCnf(*cnf)) result = solver.Solve(deadline);
@@ -1007,7 +994,7 @@ int CmdServe(const CliOptions& opts) {
 int main(int argc, char** argv) {
   if (argc < 2) Usage();
   const std::string command = argv[1];
-  const CliOptions opts = ParseArgs(command, argc, argv);
+  const CliOptions opts = ParseArgs(argc, argv);
   const TelemetrySession telemetry(opts);
   if (command == "benchmarks") return CmdBenchmarks();
   if (command == "encodings") return CmdEncodings();
