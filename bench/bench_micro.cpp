@@ -137,7 +137,7 @@ BENCHMARK_CAPTURE(BM_EncodeColoringDirectToSolver, k2_w9_ite_linear_2_muldirect,
 void BM_LintEncodedColoring(benchmark::State& state,
                             const std::string& encoding_name) {
   // Same circulant instance as BM_EncodeColoring, so the two benchmarks
-  // together give the lint/encode overhead ratio of --selfcheck.
+  // together give the lint/encode overhead ratio of `satlint encode`.
   graph::Graph g(80);
   for (graph::VertexId v = 0; v < 80; ++v) {
     for (int offset : {1, 2, 5, 11}) {

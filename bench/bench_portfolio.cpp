@@ -6,6 +6,8 @@
 // with fewer cores the threads time-slice and the measured gain shrinks
 // accordingly — the bench prints the hardware parallelism so results can
 // be read in context. Members race independently; they share no clauses.
+// Every cell sits below W*, so its only valid answers are UNSAT and a
+// timeout; any other verdict prints the cell and exits 1.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -14,6 +16,18 @@
 #include "bench_util.h"
 #include "flow/detailed_router.h"
 #include "portfolio/portfolio.h"
+
+namespace {
+
+// Prints a W*-1 cell whose verdict is not UNSAT; returns the exit code.
+int WrongVerdict(const std::string& name, int width, const char* cell,
+                 satfr::sat::SolveResult status) {
+  std::printf("\n%s W=%d %s: %s, expected UNSAT\n", name.c_str(), width,
+              cell, satfr::sat::ToString(status));
+  return 1;
+}
+
+}  // namespace
 
 int main() {
   using namespace satfr;
@@ -44,6 +58,10 @@ int main() {
     single.timeout_seconds = timeout;
     const auto single_result =
         flow::RouteDetailedOnGraph(inst.conflict, width, single);
+    if (single_result.status == sat::SolveResult::kSat) {
+      return WrongVerdict(inst.name, width, "best single",
+                          single_result.status);
+    }
     const bool single_timeout =
         single_result.status == sat::SolveResult::kUnknown;
     const double single_seconds =
@@ -59,6 +77,11 @@ int main() {
       const portfolio::PortfolioResult result =
           portfolio::RunPortfolio(inst.conflict, width, strategies, timeout);
       const bool timed_out = result.winner < 0;
+      if (!timed_out && result.result.status != sat::SolveResult::kUnsat) {
+        return WrongVerdict(inst.name, width,
+                            three ? "portfolio-3" : "portfolio-2",
+                            result.result.status);
+      }
       const double seconds = timed_out ? timeout : result.wall_seconds;
       (three ? total_p3 : total_p2) += seconds;
       std::printf("  %14s", bench::TimeCell(seconds, timed_out).c_str());

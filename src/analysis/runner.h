@@ -3,7 +3,7 @@
 // Owns an ordered list of passes, runs every enabled + applicable one over
 // an AnalysisInput, and collects the findings into an AnalysisReport. Each
 // pass can be disabled or have its severity overridden by name, so callers
-// (the satlint CLI, DetailedRouter's --selfcheck mode, tests) tune the same
+// (the satlint CLI, `satfr serve --selfcheck`, tests) tune the same
 // pipeline instead of assembling their own.
 #pragma once
 

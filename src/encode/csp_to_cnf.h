@@ -9,11 +9,12 @@
 //
 // Two entry points share one emission loop:
 //   * EncodeColoringToSink streams clauses into any sat::ClauseSink — the
-//     default solve path pairs it with a SolverSink so the formula never
-//     materializes as a Cnf.
-//   * EncodeColoring materializes a Cnf via CnfCollectorSink — the
-//     back-compat path whose output (clause order, literal order, Table 1
-//     counts) is identical to the historical monolithic encoder.
+//     route flow pairs it with a SolverSink, its only load path, so the
+//     formula never materializes as a Cnf.
+//   * EncodeColoring materializes a Cnf via CnfCollectorSink, for the
+//     tools that inspect the whole formula (satlint, tests, benches); its
+//     output (clause order, literal order, Table 1 counts) is the stream
+//     the solver receives.
 #pragma once
 
 #include <cstdint>

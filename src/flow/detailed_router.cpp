@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "analysis/runner.h"
 #include "flow/conflict_graph.h"
 #include "flow/solve_step.h"
 #include "obs/metrics.h"
@@ -13,14 +12,10 @@
 namespace satfr::flow {
 namespace {
 
-/// `routing` is non-null only when the caller extracted the conflict graph
-/// from a global routing itself; the selfcheck's flow-two-pin pass then
-/// cross-checks the two.
 DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                                  int num_tracks,
                                  const DetailedRouteOptions& options,
-                                 double coloring_seconds,
-                                 const route::GlobalRouting* routing) {
+                                 double coloring_seconds) {
   DetailedRouteResult result;
   result.coloring_seconds = coloring_seconds;
   result.conflict_vertices = conflict_graph.num_vertices();
@@ -34,9 +29,6 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
                      obs::JsonValue(symmetry::ToString(options.heuristic)));
   encode_span.AddArg("width", obs::JsonValue(num_tracks));
 
-  // The lint passes re-walk the CNF and the RUP checker re-propagates it, so
-  // both need the materialized formula.
-  const bool materialize = options.selfcheck || options.verify_unsat_proof;
   const std::vector<graph::VertexId> sequence = symmetry::SymmetrySequence(
       conflict_graph, num_tracks, options.heuristic);
 
@@ -47,44 +39,20 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   std::vector<sat::Clause> proof;
   if (options.verify_unsat_proof) solver.SetProofLog(&proof);
 
-  // Everyone except the materialized paths streams the encoder straight into
-  // the solver and never holds an intermediate Cnf. A load that refutes the
+  // The encoder streams straight into the solver. The RUP checker needs
+  // the formula itself, so a proof run tees the same stream into a Cnf;
+  // the solver sees identical clauses either way. A load that refutes the
   // formula leaves the solver answering kUnsat.
-  encode::ColoringLayout layout;
-  encode::EncodedColoring encoded;
-  if (materialize) {
-    encoded = encode::EncodeColoring(conflict_graph, num_tracks,
-                                     options.encoding, sequence);
-    if (options.selfcheck) {
-      const analysis::AnalysisRunner runner = analysis::MakeDefaultRunner();
-      analysis::AnalysisInput lint_input;
-      lint_input.cnf = &encoded.cnf;
-      lint_input.conflict_graph = &conflict_graph;
-      lint_input.encoded = &encoded;
-      lint_input.spec = &options.encoding;
-      lint_input.symmetry_sequence = &sequence;
-      lint_input.routing = routing;
-      analysis::AnalysisReport report = runner.Run(lint_input);
-      const bool broken = report.HasErrors();
-      result.lint = std::move(report.diagnostics);
-      if (broken) {
-        // Never hand a formula that violates its own encoding contract to
-        // the solver: its answer would say nothing about the routing
-        // instance.
-        result.encode_seconds = encode_watch.Seconds();
-        result.status = sat::SolveResult::kUnknown;
-        return result;
-      }
-    }
-    solver.AddCnf(encoded.cnf);
-    layout = std::move(static_cast<encode::ColoringLayout&>(encoded));
-  } else {
-    sat::SolverSink direct(solver);
-    layout = encode::EncodeColoringToSink(conflict_graph, num_tracks,
-                                          options.encoding, sequence, direct);
-    direct.Finish();
-    result.streamed_encode = true;
-  }
+  sat::SolverSink direct(solver);
+  sat::Cnf proof_cnf;
+  sat::CnfCollectorSink collector(proof_cnf);
+  sat::TeeSink tee(direct, collector);
+  sat::ClauseSink& sink = options.verify_unsat_proof
+                              ? static_cast<sat::ClauseSink&>(tee)
+                              : direct;
+  const encode::ColoringLayout layout = encode::EncodeColoringToSink(
+      conflict_graph, num_tracks, options.encoding, sequence, sink);
+  sink.Finish();
   result.cnf_vars = layout.num_vars;
   result.cnf_clauses = layout.stats.TotalEmitted();
   result.encode_stats = layout.stats;
@@ -116,7 +84,7 @@ DetailedRouteResult SolveOnGraph(const graph::Graph& conflict_graph,
   } else if (result.status == sat::SolveResult::kUnsat &&
              options.verify_unsat_proof) {
     result.proof_clauses = proof.size();
-    result.proof_verified = sat::VerifyRupRefutation(encoded.cnf, proof);
+    result.proof_verified = sat::VerifyRupRefutation(proof_cnf, proof);
   }
   return result;
 }
@@ -130,15 +98,14 @@ DetailedRouteResult RouteDetailed(const fpga::Arch& arch,
   Stopwatch coloring_watch;
   const graph::Graph conflict_graph = BuildConflictGraph(arch, routing);
   const double coloring_seconds = coloring_watch.Seconds();
-  return SolveOnGraph(conflict_graph, num_tracks, options, coloring_seconds,
-                      &routing);
+  return SolveOnGraph(conflict_graph, num_tracks, options, coloring_seconds);
 }
 
 DetailedRouteResult RouteDetailedOnGraph(
     const graph::Graph& conflict_graph, int num_tracks,
     const DetailedRouteOptions& options) {
   return SolveOnGraph(conflict_graph, num_tracks, options,
-                      /*coloring_seconds=*/0.0, /*routing=*/nullptr);
+                      /*coloring_seconds=*/0.0);
 }
 
 }  // namespace satfr::flow

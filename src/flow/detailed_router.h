@@ -4,14 +4,15 @@
 // translation (conflict graph -> CNF via a chosen encoding, with optional
 // symmetry breaking) and the SAT solver. Reports the same time breakdown the
 // paper's Table 2 sums: graph-coloring generation + CNF translation + SAT
-// solving.
+// solving. The encoder streams its clauses straight into the solver
+// (sat::SolverSink); a Cnf copy exists only for the proof check of
+// verify_unsat_proof. Lint the same formula with `satlint encode`.
 #pragma once
 
 #include <atomic>
 #include <string>
 #include <vector>
 
-#include "analysis/diagnostic.h"
 #include "common/stopwatch.h"
 #include "encode/csp_to_cnf.h"
 #include "encode/registry.h"
@@ -33,15 +34,10 @@ struct DetailedRouteOptions {
   const std::atomic<bool>* stop = nullptr;
   /// Record a DRUP-style proof and re-verify kUnsat answers with the
   /// independent RUP checker (see DetailedRouteResult::proof_verified).
-  /// Costs memory proportional to the clauses learned.
+  /// The encoder's stream is then also tee'd into a Cnf for the checker,
+  /// so this costs memory proportional to the formula plus the clauses
+  /// learned; the search itself is unchanged.
   bool verify_unsat_proof = false;
-  /// Run the satlint analysis pipeline over the conflict graph and the
-  /// encoded CNF before solving. Findings land in
-  /// DetailedRouteResult::lint; any error-severity finding aborts the run
-  /// with status kUnknown instead of handing a broken formula to the
-  /// solver. Debug aid; off by default (linting re-walks the whole CNF).
-  /// Forces the materializing encode path (the passes need the Cnf).
-  bool selfcheck = false;
   /// Label for telemetry (trace spans and run-report records): the MCNC
   /// circuit / .col file / CNF name this solve belongs to. Purely
   /// descriptive; empty is fine (records then say "graph").
@@ -72,10 +68,6 @@ struct DetailedRouteResult {
   std::size_t cnf_clauses = 0;
   sat::SolverStats solver_stats;
 
-  /// True when the encoder streamed clauses straight into the solver (the
-  /// default); false when a Cnf was materialized because selfcheck or
-  /// verify_unsat_proof needed it.
-  bool streamed_encode = false;
   /// Per-category clause counts of the encoding.
   encode::ColoringCnfStats encode_stats;
 
@@ -84,10 +76,6 @@ struct DetailedRouteResult {
   bool proof_verified = false;
   /// Length of the logged refutation (0 unless proof verification ran).
   std::size_t proof_clauses = 0;
-
-  /// Findings of the satlint pipeline (only when options.selfcheck). If any
-  /// is error-severity, status is kUnknown and no solve was attempted.
-  std::vector<analysis::Diagnostic> lint;
 };
 
 /// Routes `routing` in `num_tracks` tracks. kSat => `tracks` is a valid

@@ -12,6 +12,13 @@ namespace {
 using fpga::NodeId;
 using fpga::SegmentIndex;
 
+// Negotiation cost weights: the present-congestion penalty starts at
+// kPresentFactorInitial and grows by kPresentFactorGrowth per round; the
+// accumulated history cost is weighted by kHistoryFactor.
+constexpr double kPresentFactorInitial = 0.6;
+constexpr double kPresentFactorGrowth = 1.5;
+constexpr double kHistoryFactor = 0.35;
+
 }  // namespace
 
 int CapacityLowerBound(const fpga::Arch& arch, const netlist::Netlist& nets,
@@ -177,7 +184,7 @@ GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
                                     : *std::max_element(distinct.begin(),
                                                         distinct.end());
   for (int capacity = peak - 1; capacity >= capacity_floor; --capacity) {
-    double present_factor = options.present_factor_initial;
+    double present_factor = kPresentFactorInitial;
     bool feasible = false;
     for (int round = 0; round < options.negotiation_rounds && !feasible;
          ++round) {
@@ -191,8 +198,7 @@ GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
               distinct[static_cast<std::size_t>(seg)] - stamped(seg);
           const int overuse = std::max(0, others + 1 - capacity);
           return 1.0 + present_factor * overuse +
-                 options.history_factor *
-                     history[static_cast<std::size_t>(seg)];
+                 kHistoryFactor * history[static_cast<std::size_t>(seg)];
         };
         auto path = search.FindPath(from[i], to[i], cost);
         assert(path.has_value());
@@ -206,7 +212,7 @@ GlobalRouting RouteGlobally(const fpga::DeviceGraph& device,
         history[seg] += overuse;
         total_overuse += overuse;
       }
-      present_factor *= options.present_factor_growth;
+      present_factor *= kPresentFactorGrowth;
       feasible = (total_overuse == 0);
     }
     if (feasible) {

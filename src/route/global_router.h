@@ -31,11 +31,6 @@ struct GlobalRouterOptions {
   Decomposition decomposition = Decomposition::kStar;
   /// Rip-up-and-reroute sweeps attempted per capacity target.
   int negotiation_rounds = 25;
-  /// Present-congestion penalty: starting weight and per-round growth.
-  double present_factor_initial = 0.6;
-  double present_factor_growth = 1.5;
-  /// Weight of accumulated history costs.
-  double history_factor = 0.35;
 };
 
 /// Cut lower bound on the peak distinct-parent congestion of any global

@@ -6,12 +6,13 @@
 // intermediate Cnf is pure peak-memory and cache overhead. A ClauseSink
 // inverts the flow: encoders push variables and clauses into a sink as they
 // are produced, and the sink decides what to do with them — collect them
-// into a Cnf (CnfCollectorSink, the back-compat path whose output is
-// byte-for-byte the pre-sink encoder output), feed them straight into a
-// Solver (SolverSink, the default solve path: zero intermediate
-// materialization), stream them to disk (StreamingDimacsSink, so instances
-// too big to hold in memory can still be exported), or count them
-// (CountingSink, allocation-free statistics).
+// into a Cnf (CnfCollectorSink, for tools that inspect the whole formula;
+// its output is byte-for-byte the pre-sink encoder output), feed them
+// straight into a Solver (SolverSink, the route flow's only load path: zero
+// intermediate materialization), stream them to disk (StreamingDimacsSink,
+// so instances too big to hold in memory can still be exported), count
+// them (CountingSink, allocation-free statistics), or duplicate them
+// (TeeSink).
 //
 // Contract:
 //  * EnsureVars/EmitVar before emitting clauses over those variables.
@@ -96,9 +97,9 @@ class ClauseSink {
   std::uint64_t num_literals_ = 0;
 };
 
-/// Collects the stream into a Cnf — the full back-compat sink. Emitting the
-/// same stream through this sink reproduces the pre-sink encoder output
-/// byte for byte (clause order, literal order, Table 1 counts).
+/// Collects the stream into a Cnf. Emitting the same stream through this
+/// sink reproduces the pre-sink encoder output byte for byte (clause order,
+/// literal order, Table 1 counts).
 class CnfCollectorSink final : public ClauseSink {
  public:
   explicit CnfCollectorSink(Cnf& cnf) : cnf_(cnf) {
@@ -194,10 +195,11 @@ class CountingSink final : public ClauseSink {
 };
 
 /// Duplicates the stream into two downstream sinks — e.g. a SolverSink plus
-/// a CnfCollectorSink when a resident solver's input must also stay
-/// auditable (flow::RoutingSession's audit mode feeds the satlint
-/// net-group-hygiene pass this way). Finish() runs both downstreams and is
-/// false if either is.
+/// a CnfCollectorSink when a solver's input must also stay checkable: the
+/// route flow's proof verification hands the copy to the RUP checker, and
+/// flow::RoutingSession's audit mode feeds it to the satlint
+/// net-group-hygiene pass. Finish() runs both downstreams and is false if
+/// either is.
 class TeeSink final : public ClauseSink {
  public:
   TeeSink(ClauseSink& a, ClauseSink& b) : a_(a), b_(b) {

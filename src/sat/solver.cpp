@@ -1187,10 +1187,11 @@ void Solver::VivifyRound() {
     const ClauseRef cref = learnts_tier2_[vivify_cursor_++];
     ++examined;
     if (View(cref).deleted()) continue;
-    if (!VivifyClause(cref)) return;  // refuted the formula
+    if (!VivifyClause(cref)) break;  // refuted the formula
   }
-  // Vivified clauses may have left the arena (shrunk to binary/unit) or
-  // been dropped as satisfied; compact the list.
+  // Vivified clauses may have left the arena (shrunk to binary/unit), been
+  // dropped as satisfied, or refuted the formula; compact the list either
+  // way, so no freed clause stays in it.
   std::size_t keep = 0;
   for (const ClauseRef cref : learnts_tier2_) {
     if (!View(cref).deleted()) learnts_tier2_[keep++] = cref;

@@ -15,7 +15,6 @@
 #include "encode/cube.h"
 #include "encode/registry.h"
 #include "flow/conflict_graph.h"
-#include "flow/detailed_router.h"
 #include "flow/routing_session.h"
 #include "fpga/device_graph.h"
 #include "netlist/mcnc_suite.h"
@@ -530,28 +529,8 @@ TEST(CnfPassesTest, GroupedStreamReportsNoSelectorButPlantedBaseVar) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end: DetailedRouter selfcheck and the MCNC acceptance sweep.
+// End-to-end: the MCNC acceptance sweep (what `satlint encode` runs).
 // ---------------------------------------------------------------------------
-
-TEST(SelfcheckTest, DetailedRouterSelfcheckPassesOnMcncTiny) {
-  const netlist::McncBenchmark bench =
-      netlist::GenerateMcncBenchmark("tiny");
-  const fpga::Arch arch(bench.params.grid_size);
-  const fpga::DeviceGraph device(arch);
-  const route::GlobalRouting routing =
-      route::RouteGlobally(device, bench.netlist, bench.placement);
-  const int width = route::PeakCongestion(arch, routing);
-
-  flow::DetailedRouteOptions options;
-  options.selfcheck = true;
-  const flow::DetailedRouteResult result =
-      flow::RouteDetailed(arch, routing, width + 1, options);
-  EXPECT_NE(result.status, sat::SolveResult::kUnknown);
-  for (const Diagnostic& d : result.lint) {
-    EXPECT_NE(d.severity, Severity::kError)
-        << d.pass << " " << d.location << ": " << d.message;
-  }
-}
 
 TEST(SelfcheckTest, AcceptanceAllEvaluatedEncodingsOnMcncInstances) {
   for (const char* bench_name : {"tiny", "9symml"}) {
@@ -563,22 +542,26 @@ TEST(SelfcheckTest, AcceptanceAllEvaluatedEncodingsOnMcncInstances) {
         route::RouteGlobally(device, bench.netlist, bench.placement);
     const graph::Graph conflict = flow::BuildConflictGraph(arch, routing);
     const int width = route::PeakCongestion(arch, routing);
-    const auto sequence = symmetry::SymmetrySequence(
-        conflict, width, symmetry::Heuristic::kS1);
-    for (const std::string& name : encode::EvaluatedEncodingNames()) {
-      const encode::EncodingSpec spec = encode::GetEncoding(name);
-      const encode::EncodedColoring encoded =
-          encode::EncodeColoring(conflict, width, spec, sequence);
-      AnalysisInput input;
-      input.cnf = &encoded.cnf;
-      input.conflict_graph = &conflict;
-      input.encoded = &encoded;
-      input.spec = &spec;
-      input.symmetry_sequence = &sequence;
-      input.routing = &routing;
-      const AnalysisReport report = Lint(input);
-      EXPECT_EQ(report.Count(Severity::kError), 0u)
-          << bench_name << " " << name << "\n" << FormatText(report);
+    for (const symmetry::Heuristic heuristic :
+         {symmetry::Heuristic::kNone, symmetry::Heuristic::kS1}) {
+      const auto sequence =
+          symmetry::SymmetrySequence(conflict, width, heuristic);
+      for (const std::string& name : encode::EvaluatedEncodingNames()) {
+        const encode::EncodingSpec spec = encode::GetEncoding(name);
+        const encode::EncodedColoring encoded =
+            encode::EncodeColoring(conflict, width, spec, sequence);
+        AnalysisInput input;
+        input.cnf = &encoded.cnf;
+        input.conflict_graph = &conflict;
+        input.encoded = &encoded;
+        input.spec = &spec;
+        input.symmetry_sequence = &sequence;
+        input.routing = &routing;
+        const AnalysisReport report = Lint(input);
+        EXPECT_EQ(report.Count(Severity::kError), 0u)
+            << bench_name << " " << name << " "
+            << symmetry::ToString(heuristic) << "\n" << FormatText(report);
+      }
     }
   }
 }

@@ -182,26 +182,32 @@ TEST(DetailedRouterTest, DefaultPathStreamsEncoderIntoSolver) {
   const DetailedRouteResult result =
       RouteDetailed(rb.arch, rb.routing, rb.peak + 1);
   EXPECT_NE(result.status, sat::SolveResult::kUnknown);
-  EXPECT_TRUE(result.streamed_encode);
   EXPECT_EQ(result.encode_stats.TotalEmitted(), result.cnf_clauses);
 }
 
-TEST(DetailedRouterTest, SelfcheckAndProofVerificationMaterialize) {
-  const RoutedBenchmark& rb = Tiny();
+// The proof copy of the formula is tee'd off the solver's own stream, so
+// verifying the refutation must not change the search. alu2 at W*-1 = 5
+// (Table 2) with the best single strategy takes hundreds of conflicts.
+TEST(DetailedRouterTest, ProofVerificationLeavesSearchUnchanged) {
+  const RoutedBenchmark rb("alu2");
   DetailedRouteOptions options;
-  options.selfcheck = true;
-  const DetailedRouteResult checked =
-      RouteDetailed(rb.arch, rb.routing, rb.peak + 1, options);
-  EXPECT_NE(checked.status, sat::SolveResult::kUnknown);
-  EXPECT_FALSE(checked.streamed_encode);
-
-  ASSERT_GE(rb.peak, 2);
-  DetailedRouteOptions proof_options;
-  proof_options.verify_unsat_proof = true;
+  options.encoding = encode::GetEncoding("ITE-linear-2+muldirect");
+  options.heuristic = symmetry::Heuristic::kS1;
+  const DetailedRouteResult plain =
+      RouteDetailed(rb.arch, rb.routing, 5, options);
+  options.verify_unsat_proof = true;
   const DetailedRouteResult proved =
-      RouteDetailed(rb.arch, rb.routing, rb.peak - 1, proof_options);
+      RouteDetailed(rb.arch, rb.routing, 5, options);
   ASSERT_EQ(proved.status, sat::SolveResult::kUnsat);
-  EXPECT_FALSE(proved.streamed_encode);
+  EXPECT_TRUE(proved.proof_verified);
+  EXPECT_GT(proved.proof_clauses, 0u);
+  EXPECT_EQ(plain.status, sat::SolveResult::kUnsat);
+  EXPECT_GT(plain.solver_stats.conflicts, 100u);
+  EXPECT_EQ(proved.cnf_clauses, plain.cnf_clauses);
+  EXPECT_EQ(proved.solver_stats.conflicts, plain.solver_stats.conflicts);
+  EXPECT_EQ(proved.solver_stats.decisions, plain.solver_stats.decisions);
+  EXPECT_EQ(proved.solver_stats.propagations,
+            plain.solver_stats.propagations);
 }
 
 TEST(DetailedRouterTest, ZeroTimeoutMeansUnlimited) {

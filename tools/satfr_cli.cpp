@@ -33,8 +33,10 @@
 //   --solver siege|minisat  (default siege)
 //   --timeout SECONDS (default 300)
 //   --width N
-//   --selfcheck       run the satlint pipeline over every encoded CNF
-//                     before solving; abort on error-severity findings
+//   --selfcheck       (serve only) see serve above; every other command
+//                     exits 2 naming the satlint subcommand that lints its
+//                     formula (`satlint encode <bench> --width W`,
+//                     `satlint col`, `satlint cnf`)
 //   --dimacs-out FILE (export only) stream the CNF to FILE instead of the
 //                     default <benchmark>_w<W>.cnf; the formula goes to
 //                     disk clause by clause and is never held in memory
@@ -87,6 +89,7 @@
 //   --metrics-out FILE  write the global metrics registry snapshot as JSON
 //                     at exit
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -258,7 +261,6 @@ flow::DetailedRouteOptions ToRouteOptions(const CliOptions& opts) {
   route.heuristic = opts.heuristic;
   route.solver = opts.solver_options;
   route.timeout_seconds = opts.timeout;
-  route.selfcheck = opts.selfcheck;
   if (!opts.positional.empty()) route.run_label = opts.positional[0];
   return route;
 }
@@ -326,20 +328,18 @@ int RejectCube(const char* command) {
   return 2;
 }
 
-/// Prints selfcheck findings; true if any is error-severity (fail fast).
-bool ReportLint(const flow::DetailedRouteResult& result) {
-  bool errors = false;
-  for (const analysis::Diagnostic& d : result.lint) {
-    std::fprintf(stderr, "selfcheck %s [%s] %s: %s\n",
-                 analysis::ToString(d.severity), d.pass.c_str(),
-                 d.location.c_str(), d.message.c_str());
-    errors = errors || d.severity == analysis::Severity::kError;
-  }
-  if (errors) {
-    std::fprintf(stderr,
-                 "selfcheck found error-severity findings; not solving\n");
-  }
-  return errors;
+// --selfcheck audits the service's verdict cache; the formula linters are
+// satlint's. Returns the exit code for a rejected --selfcheck.
+int RejectSelfcheck(const std::string& command) {
+  const char* lint = "satlint encode <bench> --width W";
+  if (command == "color") lint = "satlint col <file.col> --width K";
+  if (command == "solve") lint = "satlint cnf <file.cnf>";
+  if (command == "replay") lint = "satlint encode <bench> --grouped";
+  std::fprintf(stderr,
+               "satfr %s: --selfcheck is a `serve` option; lint the "
+               "formula with `%s`\n",
+               command.c_str(), lint);
+  return 2;
 }
 
 // Prints a failed model check; true when there was one.
@@ -407,10 +407,7 @@ int CmdProve(const CliOptions& opts) {
   mw.route = ToRouteOptions(opts);
   const flow::MinWidthResult result =
       flow::FindMinimumWidthOnGraph(loaded.conflict, loaded.peak, mw);
-  if (ReportLint(result.routable) || ReportLint(result.unroutable) ||
-      ReportError(result.error)) {
-    return 1;
-  }
+  if (ReportError(result.error)) return 1;
   if (result.min_width < 0) {
     std::printf("TIMEOUT before establishing W*\n");
     return 1;
@@ -494,7 +491,7 @@ int CmdRoute(const CliOptions& opts) {
   if (opts.cube) return CmdRouteCube(opts, loaded);
   const auto result = flow::RouteDetailedOnGraph(loaded.conflict, opts.width,
                                                  ToRouteOptions(opts));
-  if (ReportLint(result) || ReportError(result.error)) return 1;
+  if (ReportError(result.error)) return 1;
   std::printf("%s in %.3fs (%d vars, %zu clauses, %llu conflicts)\n",
               sat::ToString(result.status), result.TotalSeconds(),
               result.cnf_vars, result.cnf_clauses,
@@ -589,7 +586,7 @@ int CmdColor(const CliOptions& opts) {
   }
   const auto result =
       flow::RouteDetailedOnGraph(*g, opts.width, ToRouteOptions(opts));
-  if (ReportLint(result) || ReportError(result.error)) return 1;
+  if (ReportError(result.error)) return 1;
   std::printf("%d-coloring: %s\n", opts.width, sat::ToString(result.status));
   for (std::size_t v = 0; v < result.tracks.size(); ++v) {
     std::printf("v%zu %d\n", v + 1, result.tracks[v]);
@@ -649,7 +646,7 @@ int CmdRouteFile(const CliOptions& opts) {
   if (opts.width > 0) {
     const auto result = flow::RouteDetailedOnGraph(conflict, opts.width,
                                                    ToRouteOptions(opts));
-    if (ReportLint(result) || ReportError(result.error)) return 1;
+    if (ReportError(result.error)) return 1;
     std::printf("W=%d: %s in %.3fs\n", opts.width,
                 sat::ToString(result.status), result.TotalSeconds());
     return result.status == sat::SolveResult::kUnknown ? 1 : 0;
@@ -667,13 +664,15 @@ int CmdRouteFile(const CliOptions& opts) {
   return 0;
 }
 
-// Nearest-rank percentile; sorts a copy of the sample.
+// Nearest-rank percentile: the ceil(p * n)-th smallest sample (1-based),
+// the rank obs::MetricSnapshot::ApproxPercentile uses, so the p50 of an
+// even count is the lower median. Sorts a copy of the sample.
 double Percentile(std::vector<double> samples, double p) {
   if (samples.empty()) return 0.0;
   std::sort(samples.begin(), samples.end());
   const auto rank = static_cast<std::size_t>(
-      p * static_cast<double>(samples.size() - 1) + 0.5);
-  return samples[std::min(rank, samples.size() - 1)];
+      std::ceil(p * static_cast<double>(samples.size())));
+  return samples[std::clamp<std::size_t>(rank, 1, samples.size()) - 1];
 }
 
 // Drives a RoutingSession from a trace file: `ripup N`, `reroute N p...`,
@@ -995,6 +994,7 @@ int main(int argc, char** argv) {
   if (argc < 2) Usage();
   const std::string command = argv[1];
   const CliOptions opts = ParseArgs(argc, argv);
+  if (opts.selfcheck && command != "serve") return RejectSelfcheck(command);
   const TelemetrySession telemetry(opts);
   if (command == "benchmarks") return CmdBenchmarks();
   if (command == "encodings") return CmdEncodings();
