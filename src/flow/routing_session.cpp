@@ -122,6 +122,8 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
   activation_.assign(static_cast<std::size_t>(num_nets_), -1);
   active_.assign(static_cast<std::size_t>(num_nets_), 1);
   hint_.assign(static_cast<std::size_t>(num_nets_), -1);
+  dirty_mark_.assign(static_cast<std::size_t>(num_nets_), 0);
+  hinted_on_track_.assign(static_cast<std::size_t>(max_width_), 0);
   partner_mark_.assign(static_cast<std::size_t>(num_nets_), 0);
   owned_.assign(static_cast<std::size_t>(num_nets_), {});
   owned_by_.assign(static_cast<std::size_t>(num_nets_), {});
@@ -138,6 +140,7 @@ RoutingSession::RoutingSession(const graph::Graph& conflict_graph,
   // layer now rather than at the first delta or solve.
   solver_.FinishLoad();
   num_active_ = num_nets_;
+  unhinted_active_ = num_nets_;
   session_stats_.full_encodes = 1;
   span.AddArg("clauses", obs::JsonValue(grouped_->num_clauses()));
   span.End();
@@ -211,8 +214,10 @@ bool RoutingSession::RipUp(graph::VertexId net) {
   }
   Stopwatch stopwatch;
   const std::uint64_t clauses_before = grouped_->num_clauses();
-  obs::TraceSpan span(obs::GlobalTrace(), "ripup net " + std::to_string(net),
-                      "session");
+  obs::TraceWriter* const trace = obs::GlobalTrace();
+  obs::TraceSpan span(
+      trace, trace != nullptr ? "ripup net " + std::to_string(net) : "",
+      "session");
 
   // Retiring `net`'s selector silences every clause that mentions the net:
   // its own group directly, and partner-owned conflict clauses through the
@@ -229,6 +234,7 @@ bool RoutingSession::RipUp(graph::VertexId net) {
   }
   owned_[static_cast<std::size_t>(net)].clear();
   RetireGroup(net);
+  CountHint(net, -1);
   active_[static_cast<std::size_t>(net)] = 0;
   --num_active_;
 
@@ -281,8 +287,10 @@ bool RoutingSession::Reroute(graph::VertexId net,
 
   Stopwatch stopwatch;
   const std::uint64_t clauses_before = grouped_->num_clauses();
-  obs::TraceSpan span(obs::GlobalTrace(),
-                      "reroute net " + std::to_string(net), "session");
+  obs::TraceWriter* const trace = obs::GlobalTrace();
+  obs::TraceSpan span(
+      trace, trace != nullptr ? "reroute net " + std::to_string(net) : "",
+      "session");
   // The re-routed net becomes the owner of every one of its edges (the
   // "most recently re-routed endpoint" rule), so a later rip-up of a
   // partner bumps this net rather than leaving a stale edge clause behind.
@@ -293,6 +301,13 @@ bool RoutingSession::Reroute(graph::VertexId net,
   EmitGroup(net);
   active_[static_cast<std::size_t>(net)] = 1;
   ++num_active_;
+  CountHint(net, +1);
+  // Only a re-routed net can own an edge the last full check did not see.
+  // While the hints are not validated, the next check is a full one anyway.
+  if (validated_ && !dirty_mark_[static_cast<std::size_t>(net)]) {
+    dirty_mark_[static_cast<std::size_t>(net)] = 1;
+    dirty_.push_back(net);
+  }
 
   ++session_stats_.deltas_applied;
   session_stats_.delta_clauses +=
@@ -307,16 +322,66 @@ bool RoutingSession::Reroute(graph::VertexId net,
   return true;
 }
 
-bool RoutingSession::HintsFormRouting(int width) const {
+void RoutingSession::CountHint(graph::VertexId net, int delta) {
+  const int track = hint_[static_cast<std::size_t>(net)];
+  if (track >= 0 && track < max_width_) {
+    hinted_on_track_[static_cast<std::size_t>(track)] += delta;
+  } else {
+    unhinted_active_ += delta;
+  }
+}
+
+bool RoutingSession::OwnedEdgesProper(graph::VertexId net,
+                                      std::uint64_t& edges_checked) const {
+  const int track = hint_[static_cast<std::size_t>(net)];
+  for (const graph::VertexId u : owned_[static_cast<std::size_t>(net)]) {
+    ++edges_checked;
+    if (hint_[static_cast<std::size_t>(u)] == track) return false;
+  }
+  return true;
+}
+
+bool RoutingSession::HintsFormRouting(int width,
+                                      std::uint64_t& edges_checked) const {
   for (graph::VertexId n = 0; n < num_nets_; ++n) {
     if (!active_[static_cast<std::size_t>(n)]) continue;
     const int track = hint_[static_cast<std::size_t>(n)];
     if (track < 0 || track >= width) return false;
-    for (const graph::VertexId u : owned_[static_cast<std::size_t>(n)]) {
-      if (hint_[static_cast<std::size_t>(u)] == track) return false;
-    }
+    if (!OwnedEdgesProper(n, edges_checked)) return false;
   }
   return true;
+}
+
+void RoutingSession::SetValidated(bool validated) {
+  for (const graph::VertexId n : dirty_) {
+    dirty_mark_[static_cast<std::size_t>(n)] = 0;
+  }
+  dirty_.clear();
+  validated_ = validated;
+}
+
+bool RoutingSession::WitnessHolds(int width) {
+  std::uint64_t& edges_checked = session_stats_.witness_edges_checked;
+  if (validated_) {
+    // Every edge the last full check saw is still proper (hints change only
+    // with a solver answer, which re-validates); the rest are owned by the
+    // dirty nets. An inactive dirty net owns nothing.
+    bool proper = true;
+    for (const graph::VertexId n : dirty_) {
+      if (!OwnedEdgesProper(n, edges_checked)) {
+        proper = false;
+        break;
+      }
+    }
+    SetValidated(proper);
+    if (!proper) return false;  // the colliding edge is still there
+  }
+  if (unhinted_active_ > 0) return false;
+  for (int track = width; track < max_width_; ++track) {
+    if (hinted_on_track_[static_cast<std::size_t>(track)] > 0) return false;
+  }
+  if (!validated_) SetValidated(HintsFormRouting(width, edges_checked));
+  return validated_;
 }
 
 SessionSolveResult RoutingSession::Solve(int width) {
@@ -345,11 +410,14 @@ SessionSolveResult RoutingSession::Solve(int width) {
       session_stats_.delta_seconds - reported_delta_seconds_;
   // Witness first: if the tracks of the last SAT answer still route every
   // active net properly at `width`, they are the answer and the solver is
-  // not consulted. The check is the same one a decoded model must pass.
-  out.witness = HintsFormRouting(width);
+  // not consulted. The verdict is the full check's; only its cost is
+  // incremental.
+  out.witness = WitnessHolds(width);
   if (out.witness) {
     out.status = step.AnswerWithoutSearch(
-        "session witness width " + std::to_string(width), delta_seconds);
+        step.tracing() ? "session witness width " + std::to_string(width)
+                       : "",
+        delta_seconds);
     ++session_stats_.witness_answers;
   } else {
     assumptions_.clear();
@@ -365,7 +433,8 @@ SessionSolveResult RoutingSession::Solve(int width) {
     }
     out.status = step.Solve(
         assumptions_, Deadline::FromTimeout(options_.timeout_seconds),
-        /*stop=*/nullptr, "session solve width " + std::to_string(width),
+        /*stop=*/nullptr,
+        step.tracing() ? "session solve width " + std::to_string(width) : "",
         delta_seconds);
     out.solve_seconds = step.window().solve_seconds;
   }
@@ -384,11 +453,17 @@ SessionSolveResult RoutingSession::Solve(int width) {
     bool valid = static_cast<int>(tracks.size()) == num_nets_;
     for (graph::VertexId n = 0; valid && n < num_nets_; ++n) {
       if (active_[static_cast<std::size_t>(n)]) {
+        CountHint(n, -1);
         hint_[static_cast<std::size_t>(n)] =
             tracks[static_cast<std::size_t>(n)];
+        CountHint(n, +1);
       }
     }
-    if (!valid || !HintsFormRouting(width)) {
+    // Every decoded model gets the full check; its edges are not witness
+    // work, so they go to a scratch counter.
+    std::uint64_t decode_edges = 0;
+    SetValidated(valid && HintsFormRouting(width, decode_edges));
+    if (!validated_) {
       // Real check, not an assert: a bad decode means a solver or encoding
       // bug and must surface in Release builds too.
       out.status = sat::SolveResult::kUnknown;

@@ -38,11 +38,27 @@
 //   * Witness first. Each net keeps its track from the last SAT answer the
 //     solver gave as a hint; a rip-up or re-route leaves the hint in place.
 //     Solve(W) first checks whether the hints of the active nets are a
-//     proper routing at W (every track in [0, W), no owned edge joining two
-//     equal tracks) — the same check every decoded model must pass. If so,
-//     the hints are the answer and the solver is not called; otherwise the
-//     solver runs as above and a SAT answer refreshes the hints. kUnsat
-//     therefore always comes from the solver.
+//     proper routing at W (every active net has a hint, every hint in
+//     [0, W), no owned edge joining two equal hints). If so, the hints are
+//     the answer and the solver is not called; otherwise the solver runs as
+//     above and a SAT answer refreshes the hints. kUnsat therefore always
+//     comes from the solver.
+//
+//   * The witness check costs the edit, not the netlist. Three pieces of
+//     state keep it incremental:
+//       - a validated mark: the hints were proper on every active edge at
+//         the last full check. Every decoded model gets the full check,
+//         as does the first witness check after the mark was cleared;
+//       - a dirty list: the nets re-routed since the mark was last
+//         confirmed. A rip-up only removes edges and marks nothing; only a
+//         re-routed net can own an edge the full check did not see;
+//       - per-track counts of the active nets' hints, plus the active nets
+//         with no hint, kept current by rip-up, re-route and every hint
+//         rewrite. "Every active hint < W" reads them in O(max_width).
+//     A validated check therefore examines only the owned edges of the
+//     dirty nets (session_stats().witness_edges_checked counts them). A
+//     dirty edge joining two equal hints clears the mark, and the next
+//     check is a full one again.
 //
 // No step re-extracts a conflict graph or re-encodes an unchanged net; a
 // delta costs emitting one or a few net groups (microseconds-to-
@@ -114,6 +130,9 @@ struct SessionStats {
   std::uint64_t solves = 0;           // Solve calls answered, witness
                                       // answers included
   std::uint64_t witness_answers = 0;  // solves answered from the hints
+  std::uint64_t witness_edges_checked = 0;  // owned edges the witness
+                                            // checks examined (a decoded
+                                            // model's check not included)
   std::uint64_t full_encodes = 0;     // 1 after construction, never more
   std::uint64_t graph_extractions = 0;  // always 0: the session never
                                         // rebuilds a conflict graph
@@ -189,8 +208,21 @@ class RoutingSession {
   // Retires `net`'s current group in the resident solver.
   void RetireGroup(graph::VertexId net);
   // True if every active net has a hint in [0, width) and no owned edge
-  // joins two equal hints.
-  bool HintsFormRouting(int width) const;
+  // joins two equal hints. The full check; adds the owned edges it examined
+  // to `edges_checked`.
+  bool HintsFormRouting(int width, std::uint64_t& edges_checked) const;
+  // True if no edge `net` owns joins two equal hints; adds the edges it
+  // examined to `edges_checked`.
+  bool OwnedEdgesProper(graph::VertexId net,
+                        std::uint64_t& edges_checked) const;
+  // The witness test of Solve(width): the dirty nets' owned edges while the
+  // hints are validated, the full check otherwise, and the per-track counts
+  // for the width. Confirms or clears the validated mark.
+  bool WitnessHolds(int width);
+  // Sets the validated mark and empties the dirty list.
+  void SetValidated(bool validated);
+  // Adds `delta` (+1/-1) to the per-track count of active `net`'s hint.
+  void CountHint(graph::VertexId net, int delta);
 
   RoutingSessionOptions options_;
   int max_width_ = 0;
@@ -215,6 +247,14 @@ class RoutingSession {
   // Track per net from the last SAT answer of the solver, -1 = none. Kept
   // across rip-ups and re-routes; only a solver SAT answer rewrites it.
   std::vector<int> hint_;
+  // Witness bookkeeping (see "The witness check costs the edit" above).
+  // hinted_on_track_[t] = active nets whose hint is t; unhinted_active_ =
+  // active nets whose hint is outside [0, max_width).
+  bool validated_ = false;
+  std::vector<graph::VertexId> dirty_;
+  std::vector<char> dirty_mark_;
+  std::vector<int> hinted_on_track_;
+  int unhinted_active_ = 0;
   std::vector<char> partner_mark_;       // scratch for Reroute, all 0
   // Edge bookkeeping: owned_[n] = partners of edges n owns; owned_by_[n] =
   // nets owning an edge to n. Together they cover every current edge

@@ -38,6 +38,9 @@ class SolveStep {
   obs::RunRecord& record() { return record_; }
   /// True when Solve appends the record (a report sink is installed).
   bool reporting() const { return report_ != nullptr; }
+  /// True when the step traces its span; a caller builds a span name only
+  /// then.
+  bool tracing() const { return trace_ != nullptr; }
 
   /// Runs the query under a span named `span_name`, closes the window and
   /// appends the record (with `encode_seconds`) when reporting.

@@ -5,7 +5,6 @@
 #include <set>
 #include <thread>
 
-#include "common/logging.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "common/strings.h"
@@ -254,16 +253,6 @@ TEST(DeadlineTest, ExpiresAfterInterval) {
 TEST(DeadlineTest, NonPositiveExpiresImmediately) {
   EXPECT_TRUE(Deadline::After(0.0).Expired());
   EXPECT_TRUE(Deadline::After(-1.0).Expired());
-}
-
-// ------------------------------------------------------------- logging
-
-TEST(LoggingTest, LevelRoundTrips) {
-  const LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  SATFR_LOG(kDebug) << "suppressed";  // must not crash
-  SetLogLevel(original);
 }
 
 }  // namespace

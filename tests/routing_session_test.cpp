@@ -381,6 +381,209 @@ TEST(RoutingSessionWitnessTest, TriangleAtWidthTwoStaysUnsat) {
   EXPECT_EQ(session.session_stats().witness_answers, 1u);
 }
 
+// A witness check examines only the edges the edit could have added: after
+// the first solver answer, rip-ups add none, and a re-routed net adds the
+// edges it owns. The decoded model's own full check is not witness work.
+TEST(RoutingSessionWitnessTest, WitnessCheckExaminesOnlyTheReroutedNetsEdges) {
+  const graph::Graph g = McncConflictGraph("alu2");
+  const int wstar = 6;
+  const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
+  ASSERT_GE(peak, wstar);
+  RoutingSession session(g, peak);
+  ASSERT_TRUE(session.ok()) << session.error();
+  const SessionStats& stats = session.session_stats();
+
+  const SessionSolveResult first = session.Solve(wstar);
+  EXPECT_FALSE(first.witness);
+  ExpectValidTracks(session, first, wstar);
+  EXPECT_EQ(stats.witness_edges_checked, 0u);
+
+  // Two nets that do not conflict, so `a` can get all its partners back
+  // while `b` is still ripped up.
+  VertexId a = 0;
+  while (g.Neighbors(a).size() < 2) ++a;
+  VertexId b = 0;
+  while (b == a || g.HasEdge(a, b)) ++b;
+  ASSERT_TRUE(session.RipUp(a)) << session.error();
+  ASSERT_TRUE(session.RipUp(b)) << session.error();
+  const SessionSolveResult ripped = session.Solve(wstar);
+  EXPECT_TRUE(ripped.witness);
+  ExpectValidTracks(session, ripped, wstar);
+  EXPECT_EQ(stats.witness_edges_checked, 0u);
+
+  const std::vector<VertexId>& partners = g.Neighbors(a);
+  ASSERT_TRUE(session.Reroute(a, partners)) << session.error();
+  const SessionSolveResult rerouted = session.Solve(wstar);
+  EXPECT_TRUE(rerouted.witness);
+  ExpectValidTracks(session, rerouted, wstar);
+  EXPECT_EQ(stats.witness_edges_checked, partners.size());
+  EXPECT_EQ(stats.witness_answers, 2u);
+}
+
+// The incremental witness check must reach the verdict of a full check on
+// every Solve. The test keeps its own mirror of the session's edges and of
+// the tracks of its last SAT answer (a ripped-up net keeps its track, like
+// the session's hint), and decides each witness from the whole mirror.
+// Seeded ops rip nets up, re-route them to their original partners or to a
+// changed set (one partner dropped, one sharing the net's track added, so
+// hints collide), revive ripped-up nets, and solve at W*-1, W* and
+// max_width.
+TEST(RoutingSessionWitnessTest, IncrementalCheckMatchesAFullCheck) {
+  struct Cell {
+    const char* circuit;
+    int min_width;  // W*
+  };
+  const Cell cells[] = {{"alu2", 6}, {"too_large", 8}};
+  constexpr int kOps = 500;
+  Rng root(0x3a17c0ffee5eed01ull);
+  std::uint64_t witness_answers = 0;
+  std::uint64_t collisions = 0;  // solves whose hints were all in range but
+                                 // joined by an edge
+
+  for (const Cell& cell : cells) {
+    const graph::Graph g = McncConflictGraph(cell.circuit);
+    const int peak = graph::NumColorsUsed(graph::DsaturColoring(g));
+    ASSERT_GE(peak, cell.min_width) << cell.circuit;
+    const int n = g.num_vertices();
+    const auto at = [n](VertexId u, VertexId v) {
+      return static_cast<std::size_t>(u) * static_cast<std::size_t>(n) +
+             static_cast<std::size_t>(v);
+    };
+    for (const char* encoding : {"muldirect", "ITE-linear-2+muldirect"}) {
+      const std::string label = std::string(cell.circuit) + " " + encoding;
+      RoutingSessionOptions options;
+      options.encoding = encode::GetEncoding(encoding);
+      options.heuristic = symmetry::Heuristic::kS1;
+      RoutingSession session(g, peak, options);
+      ASSERT_TRUE(session.ok()) << label << ": " << session.error();
+      Rng rng = root.Fork();
+
+      // The mirror.
+      std::vector<char> active(static_cast<std::size_t>(n), 1);
+      std::vector<char> edge(at(n, 0), 0);  // symmetric adjacency matrix
+      std::vector<int> track(static_cast<std::size_t>(n), -1);
+      for (const auto& [u, v] : g.Edges()) edge[at(u, v)] = edge[at(v, u)] = 1;
+      const auto is_active = [&](VertexId v) {
+        return active[static_cast<std::size_t>(v)] != 0;
+      };
+      const auto track_of = [&](VertexId v) {
+        return track[static_cast<std::size_t>(v)];
+      };
+      const auto random_net = [&](bool want_active) {
+        std::vector<VertexId> nets;
+        for (VertexId v = 0; v < n; ++v) {
+          if (is_active(v) == want_active) nets.push_back(v);
+        }
+        return nets.empty() ? VertexId{-1}
+                            : nets[static_cast<std::size_t>(
+                                  rng.NextBelow(nets.size()))];
+      };
+      const auto rip_up = [&](VertexId v) {
+        active[static_cast<std::size_t>(v)] = 0;
+        for (VertexId u = 0; u < n; ++u) edge[at(u, v)] = edge[at(v, u)] = 0;
+      };
+      // Original partners that are active; `changed` drops one of them and
+      // adds an active net on the same track, when there is one.
+      const auto partners_for = [&](VertexId v, bool changed) {
+        std::vector<VertexId> partners;
+        for (const VertexId u : g.Neighbors(v)) {
+          if (is_active(u)) partners.push_back(u);
+        }
+        if (!changed) return partners;
+        if (!partners.empty()) {
+          partners.erase(partners.begin() + static_cast<std::ptrdiff_t>(
+                                                rng.NextBelow(partners.size())));
+        }
+        for (VertexId u = 0; u < n; ++u) {
+          if (u != v && is_active(u) && track_of(u) == track_of(v) &&
+              std::find(partners.begin(), partners.end(), u) ==
+                  partners.end()) {
+            partners.push_back(u);
+            break;
+          }
+        }
+        return partners;
+      };
+      const auto reroute = [&](VertexId v, bool changed) {
+        const std::vector<VertexId> partners = partners_for(v, changed);
+        ASSERT_TRUE(session.Reroute(v, partners)) << label << ": "
+                                                  << session.error();
+        rip_up(v);
+        active[static_cast<std::size_t>(v)] = 1;
+        for (const VertexId u : partners) edge[at(u, v)] = edge[at(v, u)] = 1;
+      };
+      // The full check on the mirror: every active net on a track in
+      // [0, width), no edge joining two equal tracks.
+      const auto hints_in_range = [&](int width) {
+        for (VertexId v = 0; v < n; ++v) {
+          if (is_active(v) && (track_of(v) < 0 || track_of(v) >= width)) {
+            return false;
+          }
+        }
+        return true;
+      };
+      const auto proper = [&](const std::vector<int>& tracks) {
+        for (VertexId u = 0; u < n; ++u) {
+          for (VertexId v = u + 1; v < n; ++v) {
+            if (edge[at(u, v)] && tracks[static_cast<std::size_t>(u)] ==
+                                      tracks[static_cast<std::size_t>(v)]) {
+              return false;
+            }
+          }
+        }
+        return true;
+      };
+
+      std::uint64_t session_witnesses = 0;
+      for (int op = 0; op < kOps; ++op) {
+        const std::uint64_t kind = rng.NextBelow(10);
+        if (kind <= 1) {
+          const VertexId v = random_net(true);
+          if (v < 0 || session.num_active() < 2) continue;
+          ASSERT_TRUE(session.RipUp(v)) << label << ": " << session.error();
+          rip_up(v);
+        } else if (kind <= 3) {
+          const VertexId v = random_net(true);
+          if (v >= 0) reroute(v, /*changed=*/kind == 3);
+        } else if (kind <= 5) {
+          const VertexId v = random_net(false);
+          if (v >= 0) reroute(v, /*changed=*/kind == 5);
+        } else {
+          const int widths[] = {cell.min_width - 1, cell.min_width, peak};
+          const int width = widths[rng.NextBelow(3)];
+          const bool in_range = hints_in_range(width);
+          const bool expected = in_range && proper(track);
+          collisions += in_range && !expected ? 1 : 0;
+          const SessionSolveResult r = session.Solve(width);
+          ASSERT_TRUE(r.error.empty()) << label << ": " << r.error;
+          ASSERT_EQ(r.witness, expected)
+              << label << " op " << op << " width " << width;
+          ASSERT_NE(r.status, SolveResult::kUnknown) << label;
+          if (r.status != SolveResult::kSat) continue;
+          ASSERT_EQ(static_cast<int>(r.tracks.size()), n) << label;
+          for (VertexId v = 0; v < n; ++v) {
+            const int t = r.tracks[static_cast<std::size_t>(v)];
+            if (is_active(v)) {
+              ASSERT_TRUE(t >= 0 && t < width) << label << " net " << v;
+              track[static_cast<std::size_t>(v)] = t;
+            } else {
+              ASSERT_EQ(t, -1) << label << " net " << v;
+            }
+          }
+          ASSERT_TRUE(proper(r.tracks)) << label << " op " << op;
+          session_witnesses += r.witness ? 1 : 0;
+        }
+      }
+      EXPECT_EQ(session.session_stats().witness_answers, session_witnesses)
+          << label;
+      witness_answers += session_witnesses;
+    }
+  }
+  // Both witness verdicts, and dirty edges that collide, are exercised.
+  EXPECT_GT(witness_answers, 0u);
+  EXPECT_GT(collisions, 0u);
+}
+
 // Retiring a group reclaims it without waiting for a search: a session
 // absorbing many deltas between solves keeps a bounded clause store. (With
 // reclamation left to the next search, the store grows with every delta:

@@ -36,7 +36,7 @@
 //   --selfcheck       (serve only) see serve above; every other command
 //                     exits 2 naming the satlint subcommand that lints its
 //                     formula (`satlint encode <bench> --width W`,
-//                     `satlint col`, `satlint cnf`)
+//                     `satlint col`, `satlint cnf`); route-file has none
 //   --dimacs-out FILE (export only) stream the CNF to FILE instead of the
 //                     default <benchmark>_w<W>.cnf; the formula goes to
 //                     disk clause by clause and is never held in memory
@@ -331,6 +331,13 @@ int RejectCube(const char* command) {
 // --selfcheck audits the service's verdict cache; the formula linters are
 // satlint's. Returns the exit code for a rejected --selfcheck.
 int RejectSelfcheck(const std::string& command) {
+  if (command == "route-file") {
+    std::fprintf(stderr,
+                 "satfr route-file: --selfcheck is a `serve` option; satlint "
+                 "lints a benchmark name, a .col or a .cnf, and a "
+                 "placed-netlist file has no lint entry point yet\n");
+    return 2;
+  }
   const char* lint = "satlint encode <bench> --width W";
   if (command == "color") lint = "satlint col <file.col> --width K";
   if (command == "solve") lint = "satlint cnf <file.cnf>";
@@ -772,9 +779,11 @@ int CmdReplay(const CliOptions& opts) {
                 Percentile(delta_seconds, 0.99) * 1e6,
                 delta_seconds.size());
   }
-  std::printf("solves: %llu answered, %llu witness answer(s)\n",
+  std::printf("solves: %llu answered, %llu witness answer(s), %llu witness "
+              "edge(s) checked\n",
               static_cast<unsigned long long>(stats.solves),
-              static_cast<unsigned long long>(stats.witness_answers));
+              static_cast<unsigned long long>(stats.witness_answers),
+              static_cast<unsigned long long>(stats.witness_edges_checked));
   std::printf("incremental contract: %llu full encode(s), %llu graph "
               "re-extraction(s)\n",
               static_cast<unsigned long long>(stats.full_encodes),
